@@ -631,6 +631,29 @@ def cmd_report(args):
 # -------------------------------------------------------------------- parser
 
 
+def _int_at_least(low):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text}")
+        return value
+
+    return integer
+
+
+def _positive_float(text):
+    """argparse type: a finite float greater than 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
 def _add_family_flags(p, construction=True):
     p.add_argument("--family", help="family JSON file produced by construct")
     if construction:
@@ -643,7 +666,7 @@ def _add_family_flags(p, construction=True):
 
 
 def _add_common_flags(p, tol):
-    p.add_argument("--tol", type=float, default=tol)
+    p.add_argument("--tol", type=_positive_float, default=tol)
     p.add_argument("--out", help="manifest output path")
     p.add_argument("--out-dir", help="directory for artifacts (default . or $HOGGAR_OUT_DIR)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -688,12 +711,12 @@ def build_parser():
             p.add_argument("--ensemble", default="twin", help="ensemble JSON file or 'twin'")
             p.add_argument("--expected", type=float, help="expected mutual information in nats")
         if extra.get("t"):
-            p.add_argument("--t", type=int, default=3)
+            p.add_argument("--t", type=_int_at_least(1), default=3)
         if extra.get("threshold"):
             p.add_argument("--threshold", type=float, default=1e-10)
         if extra.get("stats"):
-            p.add_argument("--samples", type=int, default=100000)
-            p.add_argument("--mc-samples", type=int, default=1000000)
+            p.add_argument("--samples", type=_int_at_least(1), default=100000)
+            p.add_argument("--mc-samples", type=_int_at_least(2), default=1000000)
         p.set_defaults(func=func)
     return parser
 

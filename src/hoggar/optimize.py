@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .infotheory import Ensemble, as_effects, eta, mutual_information
-from .sic import SicFamily, projector_distance
+from .sic import SicFamily
 
 GRAD_FLOOR = 1e-14
 ARMIJO_C = 1e-4
@@ -248,6 +248,14 @@ def blahut_arimoto(Q, tol=1e-12, max_iters=100000):
     ``I(r) <= C <= max_i D(Q_i || q_r)`` pinch to within ``tol``.  The returned
     capacity is the lower bound, so it is within ``tol`` of the true value
     whenever ``converged`` is set.
+
+    The iterates are bit-identical to the textbook update
+    ``q = r Q``, ``D_i = sum_j Q_ij (ln Q_ij - ln q_j)``, ``r_i <- r_i exp(D_i)``.
+    Only inside the two products ``r Q`` and ``r . D`` are subnormal prior
+    entries replaced by 0: each such term lies below half an ulp of every
+    partial sum it could join, so no bit of ``q`` or of the lower bound moves,
+    while BLAS no longer takes its slow subnormal path.  The returned ``prior``
+    keeps its subnormal entries.
     """
     Q = np.asarray(Q, dtype=np.float64)
     if Q.ndim != 2 or Q.shape[0] < 1:
@@ -260,6 +268,10 @@ def blahut_arimoto(Q, tol=1e-12, max_iters=100000):
 
     m = Q.shape[0]
     log_q_cols = np.where(Q > 0, np.log(np.maximum(Q, 1e-300)), 0.0)
+    # Q_ij * (ln Q_ij - ln q_j), formed in place; a zero Q_ij gives a +-0 term,
+    # which leaves the row sum unchanged, so no Q > 0 mask is needed per step
+    terms = np.empty_like(Q)
+    tiny = np.finfo(np.float64).tiny
     r = np.full(m, 1.0 / m)
     history = []
     lower = 0.0
@@ -267,10 +279,12 @@ def blahut_arimoto(Q, tol=1e-12, max_iters=100000):
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        q = r @ Q
-        rel = np.where(Q > 0, log_q_cols - np.log(np.maximum(q, 1e-300)), 0.0)
-        div = (Q * rel).sum(axis=1)
-        lower = float(r @ div)
+        r_normal = np.where(r < tiny, 0.0, r)
+        q = r_normal @ Q
+        np.subtract(log_q_cols, np.log(np.maximum(q, 1e-300)), out=terms)
+        np.multiply(Q, terms, out=terms)
+        div = terms.sum(axis=1)
+        lower = float(r_normal @ div)
         upper = float(div.max())
         history.append(lower)
         if upper - lower <= tol:
@@ -333,6 +347,22 @@ def _deficit_starts(spectrum, count, d, rng):
     return _normalize_rows(states)
 
 
+def _projector(x):
+    """Rank-one projector of ``x``, formed as :func:`hoggar.sic.projector_distance` forms it."""
+    x = np.asarray(x, dtype=np.complex128)
+    x = x / np.linalg.norm(x)
+    return np.outer(x, x.conj())
+
+
+def _projector_distances(projectors, proj):
+    """:func:`hoggar.sic.projector_distance` from each of a ``(n, d, d)`` stack to ``proj``.
+
+    The entrywise differences and their exact maximum are the same float
+    operations, so every comparison against ``DEDUP_DISTANCE`` agrees.
+    """
+    return np.abs(projectors - proj).max(axis=(1, 2))
+
+
 def _collect_minimizers(obj, cfg, gap_target, max_batches=80, stagnation=12):
     """Gather the distinct global entropy minimizers by repeated restart batches.
 
@@ -348,6 +378,7 @@ def _collect_minimizers(obj, cfg, gap_target, max_batches=80, stagnation=12):
     fresh Haar draws.
     """
     minimizers = []
+    projectors = np.empty((0, obj.d, obj.d), dtype=np.complex128)
     values = []
     best_value = math.inf
     total_iters = 0
@@ -365,12 +396,15 @@ def _collect_minimizers(obj, cfg, gap_target, max_batches=80, stagnation=12):
         if batch_best < best_value - VALUE_MARGIN:
             keep = [i for i, val in enumerate(values) if val <= batch_best + VALUE_MARGIN]
             minimizers = [minimizers[i] for i in keep]
+            projectors = projectors[keep]
             values = [values[i] for i in keep]
         best_value = min(best_value, batch_best)
         added = 0
         for row in np.flatnonzero(conv & (f <= best_value + VALUE_MARGIN)):
-            if all(projector_distance(psi[row], t) >= DEDUP_DISTANCE for t in minimizers):
+            proj = _projector(psi[row])
+            if (_projector_distances(projectors, proj) >= DEDUP_DISTANCE).all():
                 minimizers.append(psi[row])
+                projectors = np.concatenate([projectors, proj[None]])
                 values.append(float(f[row]))
                 added += 1
         no_new = 0 if added else no_new + 1
@@ -427,6 +461,17 @@ def _ascend_states(obj, pool, weights, steps, step_init):
     return psi, value
 
 
+def _reweight(obj, pool, prune_tol):
+    """Capacity-optimal weights on ``pool``, with states below ``prune_tol`` dropped.
+
+    Returns the solve, the kept states, their renormalized weights and whether
+    every state was kept.
+    """
+    ba = blahut_arimoto(obj.probabilities(pool)[0], tol=1e-13, max_iters=20000)
+    keep = ba.prior >= prune_tol
+    return ba, pool[keep], ba.prior[keep] / ba.prior[keep].sum(), bool(keep.all())
+
+
 def capacity_search(povm, cfg=None, prune_tol=1e-9, gap_target=1e-9, max_outer=25, ascent_steps=20):
     """Informational-power search: capacity iteration over a pool of pure states.
 
@@ -453,38 +498,34 @@ def capacity_search(povm, cfg=None, prune_tol=1e-9, gap_target=1e-9, max_outer=2
     pool = np.vstack(pool)
 
     history = []
-    ba = None
     value_prev = -math.inf
+    settled = False
     for _ in range(max_outer):
-        p_rows, _ = obj.probabilities(pool)
-        ba = blahut_arimoto(p_rows, tol=1e-13, max_iters=20000)
-        keep = ba.prior >= prune_tol
-        pool = pool[keep]
-        weights = ba.prior[keep] / ba.prior[keep].sum()
+        ba, pool, weights, kept_all = _reweight(obj, pool, prune_tol)
         value = _ensemble_info(obj.probabilities(pool)[0], weights)
         history.append(value)
         if abs(value - value_prev) < cfg.value_tol:
+            # with nothing pruned, the final solve would repeat this one exactly
+            settled = kept_all
             break
         value_prev = value
         pool, _ = _ascend_states(obj, pool, weights, ascent_steps, cfg.step_init)
-
-    p_rows, _ = obj.probabilities(pool)
-    ba = blahut_arimoto(p_rows, tol=1e-13, max_iters=20000)
-    keep = ba.prior >= prune_tol
-    pool = pool[keep]
-    weights = ba.prior[keep] / ba.prior[keep].sum()
+    if not settled:
+        ba, pool, weights, _ = _reweight(obj, pool, prune_tol)
 
     # merge numerically identical lines so the reported ensemble is minimal
     order = np.argsort(-weights)
     merged_states, merged_weights = [], []
+    projectors = np.empty((0, d, d), dtype=np.complex128)
     for i in order:
-        for j, t in enumerate(merged_states):
-            if projector_distance(pool[i], t) < DEDUP_DISTANCE:
-                merged_weights[j] += weights[i]
-                break
+        proj = _projector(pool[i])
+        near = np.flatnonzero(_projector_distances(projectors, proj) < DEDUP_DISTANCE)
+        if near.size:
+            merged_weights[near[0]] += weights[i]
         else:
             merged_states.append(pool[i])
             merged_weights.append(weights[i])
+            projectors = np.concatenate([projectors, proj[None]])
     weights = np.array(merged_weights)
     ensemble = Ensemble(weights=weights / weights.sum(), states=tuple(merged_states))
 

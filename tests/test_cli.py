@@ -232,3 +232,24 @@ def test_report_command_d2(tmp_path):
         assert expected in names
     assert all(c["pass"] for c in manifest["checks"])
     assert (tmp_path / "family.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--d", "2", "--samples", "0"],
+        ["report", "--d", "2", "--mc-samples", "1"],
+        ["verify-sic", "--d", "2", "--tol", "nan"],
+        ["verify-sic", "--d", "2", "--tol", "inf"],
+        ["verify-sic", "--d", "2", "--tol", "0"],
+        ["design-check", "--d", "2", "--t", "0"],
+    ],
+)
+def test_out_of_range_arguments_rejected_at_parse_time(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run(argv + ["--out-dir", str(tmp_path)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith("hoggar ")
+    assert not any(tmp_path.iterdir())

@@ -11,6 +11,7 @@ from hoggar import (
     entropy_gradient,
     min_entropy_search,
     outcome_distribution,
+    outcome_matrix,
     projector_distance,
     random_pure_state,
     shannon_entropy,
@@ -163,6 +164,89 @@ def test_blahut_arimoto_monotone_lower_bounds(rng):
     history = np.array(result.lower_history)
     assert (np.diff(history) >= -1e-14).all()
     assert result.upper - result.lower <= 1e-13
+
+
+def _seed_blahut_arimoto(Q, tol, max_iters):
+    """The textbook loop the kernel must match bit for bit (unmasked, fresh temporaries)."""
+    from hoggar.optimize import BAResult
+
+    Q = np.maximum(np.asarray(Q, dtype=np.float64), 0.0)
+    m = Q.shape[0]
+    log_q_cols = np.where(Q > 0, np.log(np.maximum(Q, 1e-300)), 0.0)
+    r = np.full(m, 1.0 / m)
+    history = []
+    lower = 0.0
+    upper = math.inf
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        q = r @ Q
+        rel = np.where(Q > 0, log_q_cols - np.log(np.maximum(q, 1e-300)), 0.0)
+        div = (Q * rel).sum(axis=1)
+        lower = float(r @ div)
+        upper = float(div.max())
+        history.append(lower)
+        if upper - lower <= tol:
+            converged = True
+            break
+        r = r * np.exp(div - upper)
+        r /= r.sum()
+    return BAResult(r, lower, lower, upper, converged, iterations, tuple(history))
+
+
+def test_blahut_arimoto_bit_identical_with_subnormal_priors(tetra_v, tetra_vbar):
+    # twins plus random states under the tetrahedral SIC: seven priors decay
+    # into the subnormal range before the bounds pinch at ~7000 iterations
+    pool = np.vstack([tetra_vbar.states, random_pure_state(2, np.random.default_rng(8), size=12)])
+    channel = outcome_matrix(pool, tetra_v)
+    for layout in (np.ascontiguousarray(channel), np.asfortranarray(channel)):
+        ref = _seed_blahut_arimoto(layout, tol=1e-13, max_iters=20000)
+        assert ((ref.prior > 0) & (ref.prior < np.finfo(float).tiny)).any()
+        got = blahut_arimoto(layout, tol=1e-13, max_iters=20000)
+        assert np.array_equal(got.prior, ref.prior)
+        assert np.array_equal(got.lower_history, ref.lower_history)
+        assert got.upper == ref.upper
+        assert got.capacity == ref.capacity
+        assert got.iterations == ref.iterations
+        assert got.converged == ref.converged
+
+
+def test_cached_projector_dedup_matches_projector_distance():
+    from hoggar.optimize import DEDUP_DISTANCE, _projector, _projector_distances
+
+    rng = np.random.default_rng(5)
+    bases = random_pure_state(8, rng, size=6)
+    candidates = []
+    for x in bases:
+        z = random_pure_state(8, rng)
+        lo, hi = 0.0, 1e-4  # bisect the perturbation size onto the threshold
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            if projector_distance(x + mid * z, x) < DEDUP_DISTANCE:
+                lo = mid
+            else:
+                hi = mid
+        candidates += [x + lo * z, x + hi * z]
+    sides = [projector_distance(c, x) < DEDUP_DISTANCE for c, x in zip(candidates, np.repeat(bases, 2, 0))]
+    assert sides == [True, False] * len(bases)
+
+    pool = list(bases) + candidates
+    order = np.random.default_rng(6).permutation(len(pool))
+    kept_ref, kept, projectors = [], [], np.empty((0, 8, 8), dtype=np.complex128)
+    for i in order:
+        ref_dist = np.array([projector_distance(pool[i], pool[j]) for j in kept_ref])
+        if all(dist >= DEDUP_DISTANCE for dist in ref_dist):
+            kept_ref.append(i)
+        proj = _projector(pool[i])
+        dist = _projector_distances(projectors, proj)
+        assert np.array_equal(dist, ref_dist.reshape(dist.shape))
+        if (dist >= DEDUP_DISTANCE).all():
+            kept.append(i)
+            projectors = np.concatenate([projectors, proj[None]])
+    assert kept == kept_ref
+    assert len(bases) < len(kept) < len(pool)
 
 
 def test_blahut_arimoto_rejects_bad_input():
