@@ -72,7 +72,6 @@ from .optimize import (
 )
 from .sic import (
     ADMISSIBLE_V,
-    ConstructionVector,
     OverlapTable,
     PauliLabel,
     SicFamily,

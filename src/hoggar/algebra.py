@@ -49,14 +49,6 @@ class HadamardCheck:
     gram_deviation: float
     tolerance: float
 
-    def to_dict(self):
-        return {
-            "check": "hadamard",
-            "pass": self.ok,
-            "deviation": self.max_deviation,
-            "tolerance": self.tolerance,
-        }
-
 
 @dataclass(frozen=True)
 class HadamardMatrix:
@@ -107,9 +99,6 @@ class HadamardMatrix:
             signs = np.where(arr.real > 0, 1, -1).astype(np.int64)
             return cls(matrix=signs.astype(np.complex128), is_real=True, signs=signs)
         return cls(matrix=arr)
-
-    def row(self, j):
-        return self.matrix[j]
 
 
 def sylvester_hadamard(n):

@@ -127,18 +127,6 @@ class SimplexReport:
     expected_inner: float
     tolerance: float
 
-    def to_dict(self):
-        return {
-            "check": "regular_simplex",
-            "pass": self.passed,
-            "deviation": max(self.norm_deviation, self.gram_deviation, self.centroid_deviation),
-            "norm_deviation": self.norm_deviation,
-            "gram_deviation": self.gram_deviation,
-            "centroid_deviation": self.centroid_deviation,
-            "expected_inner": self.expected_inner,
-            "tolerance": self.tolerance,
-        }
-
 
 def simplex_check(states, basis, tol=1e-12):
     """Regular-simplex test: unit norms, constant pairwise inner products, zero centroid."""
@@ -171,16 +159,6 @@ class ReflectionReport:
     worst_index: int
     symmetric_dimension: int
     tolerance: float
-
-    def to_dict(self):
-        return {
-            "check": "transpose_reflection",
-            "pass": self.passed,
-            "deviation": self.worst_deviation,
-            "worst_index": self.worst_index,
-            "symmetric_dimension": self.symmetric_dimension,
-            "tolerance": self.tolerance,
-        }
 
 
 def reflect_coordinates(coords, basis):

@@ -193,8 +193,8 @@ def _checks_verify_sic(manifest, fam, tol):
     return report
 
 
-def _checks_covariance(manifest, fam, tol, jobs):
-    report = verify_covariance(fam, tol, jobs=jobs)
+def _checks_covariance(manifest, fam, tol):
+    report = verify_covariance(fam, tol)
     manifest.add_check(
         "pauli_covariance", report.covariant,
         value=report.worst_deviation, expected=0.0, tolerance=tol,
@@ -479,7 +479,7 @@ def cmd_verify_sic(args):
 def cmd_covariance(args):
     fam = _load_or_build_family(args)
     manifest = Manifest("covariance", _family_params(args, fam))
-    _checks_covariance(manifest, fam, args.tol, args.jobs)
+    _checks_covariance(manifest, fam, args.tol)
     return manifest.finish(_manifest_path(args, "covariance_manifest.json"), args.bits)
 
 
@@ -617,7 +617,7 @@ def cmd_report(args):
         manifest.add_artifact(out)
     _checks_design(manifest, fam, 3, 1e-12)
     if fam.d == 8 and fam.hadamard.is_real:
-        _checks_covariance(manifest, fam, 1e-12, args.jobs)
+        _checks_covariance(manifest, fam, 1e-12)
         design = _checks_zero_design(manifest, fam, 1e-10)
         out = os.path.join(_out_dir(args), "zero_design.json")
         dump_json(design.to_dict(), out)
@@ -643,15 +643,19 @@ def _int_at_least(low):
     return integer
 
 
-def _positive_float(text):
-    """argparse type: a finite float greater than 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
-    return value
+def _float_above(low):
+    """argparse type: a finite float greater than ``low``."""
+
+    def number(text):
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value > low):
+            raise argparse.ArgumentTypeError(f"must be a finite number > {low:g}, got {text}")
+        return value
+
+    return number
 
 
 def _add_family_flags(p, construction=True):
@@ -666,12 +670,10 @@ def _add_family_flags(p, construction=True):
 
 
 def _add_common_flags(p, tol):
-    p.add_argument("--tol", type=_positive_float, default=tol)
+    p.add_argument("--tol", type=_float_above(0.0), default=tol)
     p.add_argument("--out", help="manifest output path")
     p.add_argument("--out-dir", help="directory for artifacts (default . or $HOGGAR_OUT_DIR)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--bits", action="store_true", help="display values in bits (storage stays in nats)")
-    p.add_argument("--jobs", type=int, default=1)
 
 
 def build_parser():
@@ -692,8 +694,8 @@ def build_parser():
         ("certify", cmd_certify, 1e-6, {"opt": True}),
         ("mutual-info", cmd_mutual_info, 1e-10, {"ensemble": True}),
         ("design-check", cmd_design_check, 1e-12, {"t": True}),
-        ("zero-design", cmd_zero_design, 1e-12, {"threshold": True}),
-        ("bloch", cmd_bloch, 1e-12, {}),
+        ("zero-design", cmd_zero_design, 1e-12, {"threshold": True, "format": True}),
+        ("bloch", cmd_bloch, 1e-12, {"format": True}),
         ("report", cmd_report, 1e-12, {"opt": True, "stats": True}),
     ]
     for name, func, tol, extra in specs:
@@ -705,15 +707,17 @@ def build_parser():
         if extra.get("state"):
             p.add_argument("--state", help="state JSON file ({kind: pure|mixed, ...})")
         if extra.get("opt") or extra.get("stats"):
-            p.add_argument("--restarts", type=int, default=64)
-            p.add_argument("--seed", type=int, default=1)
+            p.add_argument("--restarts", type=_int_at_least(1), default=64)
+            p.add_argument("--seed", type=_int_at_least(0), default=1)
         if extra.get("ensemble"):
             p.add_argument("--ensemble", default="twin", help="ensemble JSON file or 'twin'")
-            p.add_argument("--expected", type=float, help="expected mutual information in nats")
+            p.add_argument("--expected", type=_float_above(-math.inf), help="expected mutual information in nats")
         if extra.get("t"):
             p.add_argument("--t", type=_int_at_least(1), default=3)
         if extra.get("threshold"):
-            p.add_argument("--threshold", type=float, default=1e-10)
+            p.add_argument("--threshold", type=_float_above(0.0), default=1e-10)
+        if extra.get("format"):
+            p.add_argument("--format", choices=("json", "csv"), default="json")
         if extra.get("stats"):
             p.add_argument("--samples", type=_int_at_least(1), default=100000)
             p.add_argument("--mc-samples", type=_int_at_least(2), default=1000000)
@@ -726,7 +730,7 @@ def run(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (HoggarError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (HoggarError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -50,9 +50,6 @@ class StateSet:
         gram = self.vectors.conj() @ self.vectors.T
         return np.abs(gram) ** 2
 
-    def projectors(self):
-        return np.einsum("ni,nj->nij", self.vectors, self.vectors.conj())
-
 
 def frame_potential(state_set, t):
     """(1/k^2) * sum over ordered pairs of tr(rho_j rho_m)^t, diagonal included."""
@@ -164,16 +161,6 @@ class DesignReport:
     block_pair_count: int
     counterexample: str | None
 
-    def to_dict(self):
-        return {
-            "check": "symmetric_design",
-            "pass": self.passed,
-            "params": [self.points, self.block_size, self.point_pair_count],
-            "replication": self.replication,
-            "block_pair_count": self.block_pair_count,
-            "counterexample": self.counterexample,
-        }
-
 
 def verify_symmetric_design(design):
     """Exact-arithmetic check of all symmetric design axioms on measured data.
@@ -242,15 +229,6 @@ class DifferenceSetReport:
     size: int
     min_count: int
     max_count: int
-
-    def to_dict(self):
-        return {
-            "check": "difference_set",
-            "pass": self.passed,
-            "size": self.size,
-            "min_count": self.min_count,
-            "max_count": self.max_count,
-        }
 
 
 def difference_set_check(members):

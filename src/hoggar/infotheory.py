@@ -49,14 +49,11 @@ class OutcomeDistribution:
         object.__setattr__(self, "probs", a)
 
     @classmethod
-    def from_probs(cls, probs, validate=True):
+    def from_probs(cls, probs):
         probs = _clamp_probs(probs)
-        if validate and abs(probs.sum() - 1.0) > 1e-12:
+        if abs(probs.sum() - 1.0) > 1e-12:
             raise InvalidArgumentError(f"probabilities sum to {probs.sum()!r}, not 1")
         return cls(probs=probs, zero_count=int((probs < ZERO_THRESHOLD).sum()))
-
-    def to_dict(self):
-        return {"probs": [float(x) for x in self.probs], "zero_count": self.zero_count}
 
 
 def shannon_entropy(p):
@@ -74,42 +71,86 @@ def index_of_coincidence(p):
     return float((p * p).sum())
 
 
-def as_effects(povm, validate=True):
-    """Coerce a SicFamily / array / list of matrices to a (k, d, d) effect stack."""
+def as_effects(povm):
+    """Coerce a SicFamily / array / list of matrices to a (k, d, d) stack resolving the identity."""
     if isinstance(povm, SicFamily):
         effects = povm.effects
     else:
         effects = np.asarray(povm, dtype=np.complex128)
         if effects.ndim != 3 or effects.shape[1] != effects.shape[2]:
             raise InvalidArgumentError(f"POVM must be a (k, d, d) stack, got shape {effects.shape}")
-    if validate:
-        d = effects.shape[1]
-        dev = float(np.abs(effects.sum(axis=0) - np.eye(d)).max())
-        if dev > POVM_IDENTITY_TOL:
-            raise InvalidPovmError(f"effects deviate from the identity by {dev:.3e}")
+    d = effects.shape[1]
+    dev = float(np.abs(effects.sum(axis=0) - np.eye(d)).max())
+    if dev > POVM_IDENTITY_TOL:
+        raise InvalidPovmError(f"effects deviate from the identity by {dev:.3e}")
     return effects
 
 
-def outcome_probabilities(state, povm, validate_povm=True):
-    """Probability vector tr(rho Pi_j); pure inputs use the exact |<psi|phi_j>|^2/d path."""
+class Measurement:
+    """A validated POVM in the representation its evaluations run on.
+
+    This class is the one place that tells the two representations apart.  A
+    :class:`~hoggar.sic.SicFamily` keeps its d^2 unit vectors ``phi`` and
+    evaluates rank-one products ``|<phi_k|psi>|^2 / d``; any other POVM is a
+    ``(k, d, d)`` effect stack evaluated by einsum, with ``phi`` None.  Both
+    paths stay because each serves a workload (the SIC families of the
+    certifier, and generic effect stacks in the library), and one factored
+    frame for both would change the effect-stack arithmetic and so its
+    results in the last bits.  ``effects`` is always the stack.
+    """
+
+    def __init__(self, povm):
+        self.effects = as_effects(povm)
+        self.phi = povm.states if isinstance(povm, SicFamily) else None
+        self.k, self.d = self.effects.shape[:2]
+        # the SIC pullback leaves out the 1/d of its effects
+        self.grad_scale = 2.0 / self.d if self.phi is not None else 2.0
+
+    def probabilities(self, rows):
+        """Outcome probabilities (b, k) of the pure states ``rows`` (b, d), and the SIC amplitudes."""
+        if self.phi is not None:
+            amps = rows.conj() @ self.phi.T
+            return (np.abs(amps) ** 2) / self.d, amps
+        p = np.einsum("bi,kij,bj->bk", rows.conj(), self.effects, rows).real
+        return np.maximum(p, 0.0), None
+
+    def pure(self, psi):
+        """Outcome probabilities of one pure state, unclamped."""
+        if self.phi is not None:
+            return (np.abs(self.phi.conj() @ psi) ** 2) / self.d
+        return np.einsum("i,kij,j->k", psi.conj(), self.effects, psi).real
+
+    def pullback(self, coeff, rows, amps):
+        """Rows of ``sum_k coeff_bk E_k psi_b``, to be multiplied by ``grad_scale / 2``.
+
+        ``amps`` are the amplitudes :meth:`probabilities` returned for ``rows``.
+        """
+        if self.phi is not None:
+            return (coeff * amps.conj()) @ self.phi
+        return np.einsum("bk,kij,bj->bi", coeff, self.effects, rows)
+
+    def operator(self, w):
+        """The operator ``sum_k w_k E_k``."""
+        if self.phi is not None:
+            return (self.phi.T * w) @ self.phi.conj() / self.d
+        return np.einsum("k,kij->ij", w, self.effects)
+
+
+def outcome_probabilities(state, povm):
+    """Probability vector tr(rho Pi_j) for a pure state or a density matrix.
+
+    ``povm`` is anything :func:`as_effects` accepts, or a :class:`Measurement`.
+    """
+    m = povm if isinstance(povm, Measurement) else Measurement(povm)
     state = np.asarray(state, dtype=np.complex128)
-    if state.ndim == 1 and isinstance(povm, SicFamily):
-        if state.shape[0] != povm.d:
-            raise InvalidArgumentError("state dimension does not match the POVM")
-        if validate_povm:
-            as_effects(povm)
-        amps = povm.states.conj() @ state
-        return _clamp_probs((np.abs(amps) ** 2) / povm.d)
-    effects = as_effects(povm, validate=validate_povm)
-    d = effects.shape[1]
     if state.ndim == 1:
-        if state.shape[0] != d:
+        if state.shape[0] != m.d:
             raise InvalidArgumentError("state dimension does not match the POVM")
-        probs = np.einsum("i,kij,j->k", state.conj(), effects, state).real
+        probs = m.pure(state)
     elif state.ndim == 2:
-        if state.shape != (d, d):
+        if state.shape != (m.d, m.d):
             raise InvalidArgumentError("density matrix dimension does not match the POVM")
-        probs = np.einsum("kij,ji->k", effects, state).real
+        probs = np.einsum("kij,ji->k", m.effects, state).real
     else:
         raise InvalidArgumentError("state must be a vector or a density matrix")
     return _clamp_probs(probs)
@@ -121,16 +162,9 @@ def outcome_distribution(state, povm):
     return OutcomeDistribution.from_probs(probs)
 
 
-def outcome_matrix(states, povm, validate_povm=True):
+def outcome_matrix(states, povm):
     """Rows of outcome probabilities for a batch of pure states (m, d) -> (m, k)."""
-    states = np.asarray(states, dtype=np.complex128)
-    if isinstance(povm, SicFamily):
-        if validate_povm:
-            as_effects(povm)
-        amps = states.conj() @ povm.states.T
-        return (np.abs(amps) ** 2) / povm.d
-    effects = as_effects(povm, validate=validate_povm)
-    return np.einsum("mi,kij,mj->mk", states.conj(), effects, states).real
+    return Measurement(povm).probabilities(np.asarray(states, dtype=np.complex128))[0]
 
 
 @dataclass(frozen=True)
@@ -142,8 +176,8 @@ class Ensemble:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64).copy()
-        if w.ndim != 1 or w.min() < -NEGATIVE_CLAMP:
-            raise InvalidArgumentError("weights must be a nonnegative vector")
+        if w.ndim != 1 or w.size == 0 or w.min() < -NEGATIVE_CLAMP:
+            raise InvalidArgumentError("weights must be a nonempty nonnegative vector")
         w = np.where(w < 0, 0.0, w)
         if abs(w.sum() - 1.0) > 1e-12:
             raise InvalidArgumentError(f"weights sum to {w.sum()!r}, not 1")
@@ -156,10 +190,10 @@ class Ensemble:
                 if abs(np.linalg.norm(s) - 1.0) > 1e-10:
                     raise InvalidArgumentError("pure state is not normalized")
             elif s.ndim == 2:
-                if abs(np.trace(s).real - 1.0) > 1e-10 or np.abs(s - s.conj().T).max() > 1e-10:
-                    raise InvalidArgumentError("density matrix must be Hermitian with unit trace")
-                if np.linalg.eigvalsh(s).min() < -1e-10:
-                    raise InvalidArgumentError("density matrix must be positive semidefinite")
+                if s.shape[0] != s.shape[1] or abs(np.trace(s).real - 1.0) > 1e-10:
+                    raise InvalidArgumentError("density matrix must be square with unit trace")
+                if np.abs(s - s.conj().T).max() > 1e-10 or np.linalg.eigvalsh(s).min() < -1e-10:
+                    raise InvalidArgumentError("density matrix must be Hermitian positive semidefinite")
             else:
                 raise InvalidArgumentError("states must be vectors or matrices")
             s.setflags(write=False)
@@ -171,12 +205,6 @@ class Ensemble:
     @property
     def size(self):
         return len(self.states)
-
-    def density(self, i):
-        s = self.states[i]
-        if s.ndim == 1:
-            return np.outer(s, s.conj())
-        return s
 
     def average_state(self):
         d = self.states[0].shape[0]
@@ -217,10 +245,10 @@ class JointTable:
 
 
 def joint_table(ensemble, povm):
-    effects = as_effects(povm)
+    m = Measurement(as_effects(povm))
     rows = []
     for w, s in zip(ensemble.weights, ensemble.states):
-        rows.append(w * outcome_probabilities(s, effects, validate_povm=False))
+        rows.append(w * outcome_probabilities(s, m))
     table = JointTable(table=np.vstack(rows))
     table.validate(ensemble.weights)
     return table
@@ -242,8 +270,8 @@ def holevo_quantity(ensemble, povm):
     probabilities, so the von Neumann entropies reduce to Shannon entropies.
     Equals :func:`mutual_information` identically; kept as a separate route.
     """
-    effects = as_effects(povm)
-    dists = [outcome_probabilities(s, effects, validate_povm=False) for s in ensemble.states]
+    m = Measurement(as_effects(povm))
+    dists = [outcome_probabilities(s, m) for s in ensemble.states]
     mixture = np.zeros_like(dists[0])
     avg_conditional = 0.0
     for w, p in zip(ensemble.weights, dists):

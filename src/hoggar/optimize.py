@@ -20,14 +20,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .infotheory import Ensemble, as_effects, eta, mutual_information
-from .sic import SicFamily
+from .infotheory import Ensemble, Measurement, eta, mutual_information
 
 GRAD_FLOOR = 1e-14
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 MAX_BACKTRACKS = 60
 DEDUP_DISTANCE = 1e-6
+PRUNE_TOL = 1e-9
+GAP_TARGET = 1e-9
+MAX_BATCHES = 80
+STAGNATION = 12
+MAX_OUTER = 25
+ASCENT_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -81,28 +86,8 @@ def _normalize_rows(x):
     return x / np.linalg.norm(x, axis=1)[:, None]
 
 
-class _EntropyObjective:
+class _EntropyObjective(Measurement):
     """Batched measurement-entropy value/gradient for a fixed POVM."""
-
-    def __init__(self, povm):
-        if isinstance(povm, SicFamily):
-            as_effects(povm)  # identity-resolution check
-            self.phi = povm.states
-            self.effects = None
-            self.d = povm.d
-            self.k = povm.k
-        else:
-            self.effects = as_effects(povm)
-            self.phi = None
-            self.d = self.effects.shape[1]
-            self.k = self.effects.shape[0]
-
-    def probabilities(self, psi_rows):
-        if self.phi is not None:
-            amps = psi_rows.conj() @ self.phi.T
-            return (np.abs(amps) ** 2) / self.d, amps
-        p = np.einsum("bi,kij,bj->bk", psi_rows.conj(), self.effects, psi_rows).real
-        return np.maximum(p, 0.0), None
 
     def value(self, psi_rows):
         p, _ = self.probabilities(psi_rows)
@@ -111,10 +96,7 @@ class _EntropyObjective:
     def value_and_grad(self, psi_rows):
         p, amps = self.probabilities(psi_rows)
         slope = -(np.log(np.maximum(p, GRAD_FLOOR)) + 1.0)  # eta'(p), regularized at 0
-        if amps is not None:
-            ambient = (2.0 / self.d) * ((slope * amps.conj()) @ self.phi)
-        else:
-            ambient = 2.0 * np.einsum("bk,kij,bj->bi", slope, self.effects, psi_rows)
+        ambient = self.grad_scale * self.pullback(slope, psi_rows, amps)
         coeff = np.einsum("bi,bi->b", psi_rows.conj(), ambient)
         tangent = ambient - coeff[:, None] * psi_rows
         gnorm_sq = np.einsum("bi,bi->b", tangent, tangent.conj()).real
@@ -323,11 +305,7 @@ def _deficit_spectrum(obj, minimizers):
     deficit = np.maximum(1.0 / obj.k - q, 0.0)
     if deficit.sum() < 1e-15:
         return None
-    if obj.phi is not None:
-        m = (obj.phi.T * deficit) @ obj.phi.conj() / obj.d
-    else:
-        m = np.einsum("k,kij->ij", deficit, obj.effects)
-    vals, vecs = np.linalg.eigh(m)
+    vals, vecs = np.linalg.eigh(obj.operator(deficit))
     top = vals >= max(vals[-1] * 0.2, 1e-15)
     return np.maximum(vals[top], 0.0), vecs[:, top]
 
@@ -363,15 +341,15 @@ def _projector_distances(projectors, proj):
     return np.abs(projectors - proj).max(axis=(1, 2))
 
 
-def _collect_minimizers(obj, cfg, gap_target, max_batches=80, stagnation=12):
+def _collect_minimizers(obj, cfg):
     """Gather the distinct global entropy minimizers by repeated restart batches.
 
     Only converged states within ``VALUE_MARGIN`` of the running best value are
     kept (descent also finds non-global local minima; those are not candidates
     for a maximally informative ensemble built from minimizers).  Batches
     continue until the certificate gap against the capacity of the collected
-    pool drops below ``gap_target``, or ``stagnation`` consecutive batches add
-    nothing new, or ``max_batches`` is exhausted.  The gap is the honest stop
+    pool drops below ``GAP_TARGET``, or ``STAGNATION`` consecutive batches add
+    nothing new, or ``MAX_BATCHES`` is exhausted.  The gap is the honest stop
     signal: it collapses exactly when the collected minimizers support a
     capacity-achieving ensemble.  After an unproductive batch, half of the
     next batch restarts from perturbed coverage-deficit directions instead of
@@ -384,7 +362,7 @@ def _collect_minimizers(obj, cfg, gap_target, max_batches=80, stagnation=12):
     total_iters = 0
     no_new = 0
     spectrum = None
-    for batch in range(max_batches):
+    for batch in range(MAX_BATCHES):
         starts = _restart_states(obj, cfg, batch * cfg.restarts)
         if spectrum is not None:
             rng = np.random.default_rng((cfg.seed, 2**40 + batch))
@@ -411,7 +389,7 @@ def _collect_minimizers(obj, cfg, gap_target, max_batches=80, stagnation=12):
         p_rows, _ = obj.probabilities(np.vstack(minimizers))
         ba = blahut_arimoto(p_rows, tol=1e-10, max_iters=5000)
         gap = (math.log(obj.k) - best_value) - ba.capacity
-        if gap <= gap_target or no_new >= stagnation:
+        if gap <= GAP_TARGET or no_new >= STAGNATION:
             break
         if len(minimizers) >= 8 * obj.k:
             break  # minima form a continuum; the pool is already ample
@@ -434,12 +412,7 @@ def _ascend_states(obj, pool, weights, steps, step_init):
     for _ in range(steps):
         q = weights @ p
         rel = np.log(np.maximum(p, GRAD_FLOOR)) - np.log(np.maximum(q, GRAD_FLOOR))[None, :]
-        if amps is not None:
-            ambient = (2.0 / obj.d) * weights[:, None] * ((rel * amps.conj()) @ obj.phi)
-        else:
-            ambient = 2.0 * weights[:, None] * np.einsum(
-                "bk,kij,bj->bi", rel, obj.effects, psi
-            )
+        ambient = (obj.grad_scale * weights[:, None]) * obj.pullback(rel, psi, amps)
         coeff = np.einsum("bi,bi->b", psi.conj(), ambient)
         tangent = ambient - coeff[:, None] * psi
         g2 = float(np.einsum("bi,bi->", tangent, tangent.conj()).real)
@@ -461,18 +434,18 @@ def _ascend_states(obj, pool, weights, steps, step_init):
     return psi, value
 
 
-def _reweight(obj, pool, prune_tol):
-    """Capacity-optimal weights on ``pool``, with states below ``prune_tol`` dropped.
+def _reweight(obj, pool):
+    """Capacity-optimal weights on ``pool``, with states below ``PRUNE_TOL`` dropped.
 
     Returns the solve, the kept states, their renormalized weights and whether
     every state was kept.
     """
     ba = blahut_arimoto(obj.probabilities(pool)[0], tol=1e-13, max_iters=20000)
-    keep = ba.prior >= prune_tol
+    keep = ba.prior >= PRUNE_TOL
     return ba, pool[keep], ba.prior[keep] / ba.prior[keep].sum(), bool(keep.all())
 
 
-def capacity_search(povm, cfg=None, prune_tol=1e-9, gap_target=1e-9, max_outer=25, ascent_steps=20):
+def capacity_search(povm, cfg=None):
     """Informational-power search: capacity iteration over a pool of pure states.
 
     The pool starts from the distinct entropy minimizers found by restart
@@ -488,7 +461,7 @@ def capacity_search(povm, cfg=None, prune_tol=1e-9, gap_target=1e-9, max_outer=2
     obj = _EntropyObjective(povm)
     d, k = obj.d, obj.k
 
-    minimizers, best_min, total_iters = _collect_minimizers(obj, cfg, gap_target)
+    minimizers, best_min, total_iters = _collect_minimizers(obj, cfg)
     rng = np.random.default_rng((cfg.seed, 10**9))
     pool = list(minimizers)
     for s in minimizers:
@@ -500,8 +473,8 @@ def capacity_search(povm, cfg=None, prune_tol=1e-9, gap_target=1e-9, max_outer=2
     history = []
     value_prev = -math.inf
     settled = False
-    for _ in range(max_outer):
-        ba, pool, weights, kept_all = _reweight(obj, pool, prune_tol)
+    for _ in range(MAX_OUTER):
+        ba, pool, weights, kept_all = _reweight(obj, pool)
         value = _ensemble_info(obj.probabilities(pool)[0], weights)
         history.append(value)
         if abs(value - value_prev) < cfg.value_tol:
@@ -509,9 +482,9 @@ def capacity_search(povm, cfg=None, prune_tol=1e-9, gap_target=1e-9, max_outer=2
             settled = kept_all
             break
         value_prev = value
-        pool, _ = _ascend_states(obj, pool, weights, ascent_steps, cfg.step_init)
+        pool, _ = _ascend_states(obj, pool, weights, ASCENT_STEPS, cfg.step_init)
     if not settled:
-        ba, pool, weights, _ = _reweight(obj, pool, prune_tol)
+        ba, pool, weights, _ = _reweight(obj, pool)
 
     # merge numerically identical lines so the reported ensemble is minimal
     order = np.argsort(-weights)

@@ -8,9 +8,11 @@ pairs; matrices as {"rows", "cols", "entries"} in row-major order.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import re
+import sys
 
 import numpy as np
 
@@ -84,8 +86,9 @@ def dumps(obj, indent=2):
 
 
 def dump_json(obj, path):
+    text = dumps(obj)  # a value that cannot be serialized leaves no truncated file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj))
+        fh.write(text)
 
 
 def load_json(path):
@@ -116,8 +119,25 @@ def complex_to_pair(z):
     return [z.real, z.imag]
 
 
-def pair_to_complex(pair):
-    return complex(float(pair[0]), float(pair[1]))
+def _field(data, key, where, kind):
+    """``data[key]`` of the JSON object ``where``, of type ``kind``; else an InvalidArgumentError."""
+    if not isinstance(data, dict):
+        raise InvalidArgumentError(f"{where} must be a JSON object")
+    if key not in data or not isinstance(data[key], kind):
+        raise InvalidArgumentError(f"{where}.{key} is missing or not of type {kind.__name__}")
+    return data[key]
+
+
+def _finite(x, where):
+    if not (isinstance(x, (int, float)) and abs(x) <= sys.float_info.max):
+        raise InvalidArgumentError(f"{where} must hold finite numbers")
+    return float(x)
+
+
+def pair_to_complex(pair, where="value"):
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+        raise InvalidArgumentError(f"{where} must be a [re, im] pair")
+    return complex(_finite(pair[0], where), _finite(pair[1], where))
 
 
 def matrix_to_dict(arr):
@@ -129,11 +149,11 @@ def matrix_to_dict(arr):
     }
 
 
-def matrix_from_dict(data):
-    rows, cols = int(data["rows"]), int(data["cols"])
-    entries = [pair_to_complex(p) for p in data["entries"]]
-    if len(entries) != rows * cols:
-        raise InvalidArgumentError("matrix entry count does not match its shape")
+def matrix_from_dict(data, where="matrix"):
+    rows, cols = _field(data, "rows", where, int), _field(data, "cols", where, int)
+    entries = [pair_to_complex(p, f"{where}.entries") for p in _field(data, "entries", where, list)]
+    if rows < 1 or cols < 1 or len(entries) != rows * cols:
+        raise InvalidArgumentError(f"{where}: entry count does not match its shape")
     return np.array(entries, dtype=np.complex128).reshape(rows, cols)
 
 
@@ -145,11 +165,11 @@ def hadamard_to_dict(h):
     return data
 
 
-def hadamard_from_dict(data):
-    matrix = matrix_from_dict(data)
+def hadamard_from_dict(data, where="hadamard"):
+    matrix = matrix_from_dict(data, where)
     h = HadamardMatrix.from_array(matrix)
     if data.get("is_real") and not h.is_real:
-        raise InvalidArgumentError("matrix flagged real does not have +-1 entries")
+        raise InvalidArgumentError(f"{where}: matrix flagged real does not have +-1 entries")
     return h
 
 
@@ -160,21 +180,26 @@ def family_to_dict(fam):
         "admissible": bool(fam.admissible),
         "hadamard": hadamard_to_dict(fam.hadamard),
         "vectors": [
-            {"j": vec.j, "k": vec.k, "coords": [complex_to_pair(z) for z in vec.coords]}
-            for vec in fam.vectors
+            {"j": idx // fam.d, "k": idx % fam.d, "coords": [complex_to_pair(z) for z in row]}
+            for idx, row in enumerate(fam.raw)
         ],
     }
 
 
 def family_from_dict(data):
-    hadamard = hadamard_from_dict(data["hadamard"])
-    fam = hadamard_sic_family(hadamard, pair_to_complex(data["v"]))
-    for vec, stored in zip(fam.vectors, data["vectors"]):
-        coords = np.array([pair_to_complex(p) for p in stored["coords"]])
-        if vec.j != int(stored["j"]) or vec.k != int(stored["k"]):
+    hadamard = hadamard_from_dict(_field(data, "hadamard", "family", dict), "family.hadamard")
+    fam = hadamard_sic_family(hadamard, pair_to_complex(_field(data, "v", "family", list), "family.v"))
+    stored = _field(data, "vectors", "family", list)
+    if len(stored) != fam.k:
+        raise InvalidArgumentError(f"family.vectors holds {len(stored)} vectors, not d^2 = {fam.k}")
+    for idx, (vec, raw) in enumerate(zip(stored, fam.raw)):
+        j, k = divmod(idx, fam.d)
+        where = f"family.vectors[{idx}]"
+        if _field(vec, "j", where, int) != j or _field(vec, "k", where, int) != k:
             raise InvalidArgumentError("vector labels are out of order")
-        if np.abs(coords - vec.coords).max() > 1e-12:
-            raise InvalidArgumentError(f"stored vector ({vec.j},{vec.k}) disagrees with construction")
+        coords = [pair_to_complex(p, f"{where}.coords") for p in _field(vec, "coords", where, list)]
+        if len(coords) != fam.d or np.abs(np.array(coords) - raw).max() > 1e-12:
+            raise InvalidArgumentError(f"stored vector ({j},{k}) disagrees with construction")
     return fam
 
 
@@ -193,12 +218,14 @@ def state_to_dict(state):
     return {"kind": "mixed", "matrix": matrix_to_dict(state)}
 
 
-def state_from_dict(data):
-    if data["kind"] == "pure":
-        return np.array([pair_to_complex(p) for p in data["coords"]], dtype=np.complex128)
-    if data["kind"] == "mixed":
-        return matrix_from_dict(data["matrix"])
-    raise InvalidArgumentError(f"unknown state kind {data['kind']!r}")
+def state_from_dict(data, where="state"):
+    kind = _field(data, "kind", where, str)
+    if kind == "pure":
+        coords = _field(data, "coords", where, list)
+        return np.array([pair_to_complex(p, f"{where}.coords") for p in coords], dtype=np.complex128)
+    if kind == "mixed":
+        return matrix_from_dict(_field(data, "matrix", where, dict), f"{where}.matrix")
+    raise InvalidArgumentError(f"{where}: unknown state kind {kind!r}")
 
 
 def ensemble_to_dict(ensemble):
@@ -209,9 +236,11 @@ def ensemble_to_dict(ensemble):
 
 
 def ensemble_from_dict(data):
+    weights = [_finite(w, "ensemble.weights") for w in _field(data, "weights", "ensemble", list)]
+    states = _field(data, "states", "ensemble", list)
     return Ensemble(
-        weights=np.array([float(w) for w in data["weights"]]),
-        states=tuple(state_from_dict(s) for s in data["states"]),
+        weights=np.array(weights),
+        states=tuple(state_from_dict(s, f"ensemble.states[{i}]") for i, s in enumerate(states)),
     )
 
 
@@ -262,6 +291,8 @@ def parse_complex(text):
             if nxt in ("*", "/"):
                 advance()
                 rhs = parse_factor()
+                if nxt == "/" and rhs == 0:
+                    raise InvalidArgumentError(f"division by zero in complex literal {text!r}")
                 value = value * rhs if nxt == "*" else value / rhs
             elif nxt is not None and nxt not in ("+", "-", ")", "*", "/"):
                 value = value * parse_factor()  # implicit multiplication
@@ -305,6 +336,8 @@ def parse_complex(text):
     value = parse_expr()
     if state["i"] != len(tokens):
         raise InvalidArgumentError(f"trailing input in complex literal {text!r}")
+    if not cmath.isfinite(value):
+        raise InvalidArgumentError(f"complex literal {text!r} is not finite")
     return value
 
 

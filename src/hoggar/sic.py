@@ -15,12 +15,11 @@ rank-one projectors.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, HadamardMatrix, bits_to_int, int_to_bits, sylvester_hadamard
+from .algebra import DEFAULT_TOL, HadamardMatrix, int_to_bits, sylvester_hadamard
 from .errors import InvalidArgumentError, UnsupportedError
 
 _SQRT3 = math.sqrt(3.0)
@@ -50,21 +49,6 @@ def admissible_parameter(d, v, real_hadamard):
 
 
 @dataclass(frozen=True)
-class ConstructionVector:
-    """Row j of the source Hadamard with coordinate k multiplied by v."""
-
-    j: int
-    k: int
-    coords: np.ndarray
-    squared_norm: float
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=np.complex128).copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "coords", c)
-
-
-@dataclass(frozen=True)
 class SicFamily:
     """The d^2 construction vectors of a (H, v) family plus derived effects.
 
@@ -77,7 +61,6 @@ class SicFamily:
     d: int
     v: complex
     hadamard: HadamardMatrix
-    vectors: tuple[ConstructionVector, ...]
     raw: np.ndarray = field(repr=False)
     states: np.ndarray = field(repr=False)
     effects: np.ndarray = field(repr=False)
@@ -97,15 +80,6 @@ class SicFamily:
         if not (0 <= j < self.d and 0 <= k < self.d):
             raise InvalidArgumentError(f"label ({j},{k}) out of range for d={self.d}")
         return j * self.d + k
-
-    def vector(self, j, k):
-        return self.vectors[self.flat_index(j, k)]
-
-    def state(self, j, k):
-        return self.states[self.flat_index(j, k)]
-
-    def effect(self, j, k):
-        return self.effects[self.flat_index(j, k)]
 
 
 def hadamard_sic_family(hadamard, v):
@@ -129,15 +103,10 @@ def hadamard_sic_family(hadamard, v):
         raise InvalidArgumentError("construction vectors violate the (d-1)+|v|^2 norm identity")
     states = raw / np.sqrt(norms_sq)[:, None]
     effects = np.einsum("ni,nj->nij", states, states.conj()) / d
-    vectors = tuple(
-        ConstructionVector(j=idx // d, k=idx % d, coords=raw[idx], squared_norm=float(norms_sq[idx]))
-        for idx in range(d * d)
-    )
     return SicFamily(
         d=d,
         v=v,
         hadamard=hadamard,
-        vectors=vectors,
         raw=raw,
         states=states,
         effects=effects,
@@ -178,17 +147,6 @@ class SicReport:
     max_deviation: float
     identity_deviation: float
     tolerance: float
-
-    def to_dict(self):
-        return {
-            "check": "sic",
-            "pass": self.is_sic,
-            "overlap_value": self.overlap_value,
-            "expected_overlap": self.expected_overlap,
-            "deviation": self.max_deviation,
-            "identity_deviation": self.identity_deviation,
-            "tolerance": self.tolerance,
-        }
 
 
 def verify_sic(fam, tol=DEFAULT_TOL):
@@ -279,14 +237,6 @@ class PauliLabel:
     def from_ints(cls, a, b):
         return cls(alpha=int_to_bits(a, 3), beta=int_to_bits(b, 3))
 
-    @property
-    def alpha_int(self):
-        return bits_to_int(self.alpha)
-
-    @property
-    def beta_int(self):
-        return bits_to_int(self.beta)
-
     def __add__(self, other):
         return PauliLabel(
             alpha=tuple(a ^ b for a, b in zip(self.alpha, other.alpha)),
@@ -330,14 +280,6 @@ class CovarianceReport:
     worst_deviation: float
     tolerance: float
 
-    def to_dict(self):
-        return {
-            "check": "pauli_covariance",
-            "pass": self.covariant,
-            "deviation": self.worst_deviation,
-            "tolerance": self.tolerance,
-        }
-
 
 def _is_sylvester_source(fam):
     if fam.d != 8 or not fam.hadamard.is_real:
@@ -355,7 +297,7 @@ def _covariance_deviation_for_label(fam, a, b):
     return float(np.abs(p_moved - p_target).max())
 
 
-def verify_covariance(fam, tol=DEFAULT_TOL, jobs=1):
+def verify_covariance(fam, tol=DEFAULT_TOL):
     """Check that every Pauli label permutes the 64 projectors by label addition.
 
     Requires the Sylvester source (the action formula is convention dependent).
@@ -363,11 +305,5 @@ def verify_covariance(fam, tol=DEFAULT_TOL, jobs=1):
     """
     if not _is_sylvester_source(fam):
         raise UnsupportedError("covariance check requires a d=8 family over the Sylvester matrix")
-    labels = [(a, b) for a in range(8) for b in range(8)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            devs = list(pool.map(lambda ab: _covariance_deviation_for_label(fam, *ab), labels))
-    else:
-        devs = [_covariance_deviation_for_label(fam, a, b) for a, b in labels]
-    worst = max(devs)
+    worst = max(_covariance_deviation_for_label(fam, a, b) for a in range(8) for b in range(8))
     return CovarianceReport(covariant=worst <= tol, worst_deviation=worst, tolerance=float(tol))

@@ -243,6 +243,10 @@ def test_report_command_d2(tmp_path):
         ["verify-sic", "--d", "2", "--tol", "inf"],
         ["verify-sic", "--d", "2", "--tol", "0"],
         ["design-check", "--d", "2", "--t", "0"],
+        ["min-entropy", "--d", "2", "--seed", "-1"],
+        ["report", "--d", "2", "--restarts", "0"],
+        ["zero-design", "--d", "8", "--threshold", "nan"],
+        ["mutual-info", "--d", "2", "--expected", "nan"],
     ],
 )
 def test_out_of_range_arguments_rejected_at_parse_time(argv, tmp_path, capsys):
@@ -253,3 +257,69 @@ def test_out_of_range_arguments_rejected_at_parse_time(argv, tmp_path, capsys):
     assert "Traceback" not in err
     assert err.strip().splitlines()[-1].startswith("hoggar ")
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv", [["report", "--d", "2", "--jobs", "2"], ["verify-sic", "--d", "2", "--format", "csv"]]
+)
+def test_unknown_flags_rejected(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run(argv + ["--out-dir", str(tmp_path)])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err.strip().splitlines()[-1]
+    assert not any(tmp_path.iterdir())
+
+
+TETRA = ["--d", "2", "--v", "(1+sqrt3)(1+i)/2"]
+
+
+def _tetra_family():
+    from hoggar import tetrahedral_family
+    from hoggar.serialize import family_to_dict
+
+    return family_to_dict(tetrahedral_family())
+
+
+@pytest.mark.parametrize(
+    "argv, flag, payload",
+    [
+        pytest.param(["verify-sic"], "--family", lambda: {**_tetra_family(), "v": 5}, id="family-v-scalar"),
+        pytest.param(["verify-sic"], "--family", lambda: [_tetra_family()], id="family-list"),
+        pytest.param(
+            ["verify-sic"], "--family", lambda: {**_tetra_family(), "v": [math.nan, 0.0]}, id="family-v-nan"
+        ),
+        pytest.param(
+            ["verify-sic"], "--family",
+            lambda: {**_tetra_family(), "vectors": _tetra_family()["vectors"][:3]},
+            id="family-vectors-short",
+        ),
+        pytest.param(["entropy", *TETRA], "--state", lambda: [1, 2], id="state-list"),
+        pytest.param(["entropy", *TETRA], "--state", lambda: {"kind": "pure"}, id="state-no-coords"),
+        pytest.param(
+            ["mutual-info", *TETRA], "--ensemble", lambda: {"weights": [], "states": []}, id="ensemble-empty"
+        ),
+        pytest.param(["verify-sic"], "--family", lambda: b"\xff\xfe", id="family-not-utf8"),
+    ],
+)
+def test_malformed_input_files_rejected(argv, flag, payload, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    data = payload()
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(json.dumps(data))
+    out_dir = tmp_path / "out"
+    assert run(argv + [flag, str(path), "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+@pytest.mark.parametrize("v", ["1/0", "1/(1-1)"])
+def test_non_finite_parameter_rejected(v, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert run(["construct", "--d", "2", "--v", v, "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith("error: ")
+    assert not out_dir.exists() or not any(out_dir.iterdir())

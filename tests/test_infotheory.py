@@ -202,3 +202,26 @@ def test_ensemble_validation(rng):
     bad_density[1, 1] = 0.2
     ens = Ensemble(weights=np.array([1.0]), states=(np.eye(2) / 2,))
     assert ens.size == 1
+
+
+@pytest.mark.parametrize("family", ["hoggar_v", "tetra_v", "fourier3_families"])
+def test_measurement_representations_agree(family, request, rng):
+    from hoggar.infotheory import Measurement
+
+    fam = request.getfixturevalue(family)
+    if family == "fourier3_families":
+        fam = fam[2]  # v = 1 + sqrt3 i
+    sic, stack = Measurement(fam), Measurement(np.array(fam.effects))
+    assert sic.phi is not None and stack.phi is None
+    rows = random_pure_state(fam.d, rng, size=16)
+    p_sic, amps = sic.probabilities(rows)
+    p_stack, _ = stack.probabilities(rows)
+    assert np.abs(p_sic - p_stack).max() < 1e-12
+    for psi in rows:
+        assert np.abs(sic.pure(psi) - stack.pure(psi)).max() < 1e-12
+    coeff = rng.standard_normal((16, fam.k))
+    pulled_sic = sic.grad_scale * sic.pullback(coeff, rows, amps)
+    pulled_stack = stack.grad_scale * stack.pullback(coeff, rows, None)
+    assert np.abs(pulled_sic - pulled_stack).max() < 1e-12
+    w = rng.random(fam.k)
+    assert np.abs(sic.operator(w) - stack.operator(w)).max() < 1e-12

@@ -5,6 +5,7 @@ import pytest
 
 from hoggar import InvalidArgumentError, hoggar_family, tetrahedral_family, uniform_ensemble
 from hoggar.serialize import (
+    dump_json,
     dumps,
     ensemble_from_dict,
     ensemble_to_dict,
@@ -47,6 +48,13 @@ def test_format_float_fixed_digits():
     assert format_float(1.0) == "1"
     with pytest.raises(InvalidArgumentError):
         format_float(float("nan"))
+
+
+def test_dump_json_leaves_no_file_when_serialization_fails(tmp_path):
+    path = tmp_path / "out.json"
+    with pytest.raises(InvalidArgumentError):
+        dump_json({"value": math.nan}, path)
+    assert not path.exists()
 
 
 def test_format_complex_roundtrip():
