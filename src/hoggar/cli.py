@@ -278,6 +278,7 @@ def _search_result_dict(result):
     if result.upper_bound is not None:
         data["upper_bound"] = float(result.upper_bound)
         data["certificate_gap"] = float(result.certificate_gap)
+        data["capped_solves"] = int(result.capped_solves)
     return data
 
 

@@ -178,6 +178,8 @@ class Ensemble:
         w = np.asarray(self.weights, dtype=np.float64).copy()
         if w.ndim != 1 or w.size == 0 or w.min() < -NEGATIVE_CLAMP:
             raise InvalidArgumentError("weights must be a nonempty nonnegative vector")
+        if not np.isfinite(w).all():
+            raise InvalidArgumentError("weights must be finite")
         w = np.where(w < 0, 0.0, w)
         if abs(w.sum() - 1.0) > 1e-12:
             raise InvalidArgumentError(f"weights sum to {w.sum()!r}, not 1")

@@ -32,6 +32,7 @@ GAP_TARGET = 1e-9
 MAX_BATCHES = 80
 STAGNATION = 12
 MAX_OUTER = 25
+REWEIGHT_MAX_ITERS = 20000
 ASCENT_STEPS = 20
 
 
@@ -56,7 +57,10 @@ class SearchResult:
     """Outcome of a search; ``best_state`` for entropy, ``best_ensemble`` for capacity.
 
     ``restart_values`` holds per-restart optima for the entropy search and the
-    per-round capacity values for the ensemble search.
+    per-round capacity values for the ensemble search.  ``converged`` is the
+    flag of the deciding solve (the best restart, or the final capacity
+    iteration); ``capped_solves`` counts the capacity search's reweighting
+    solves that stopped at ``REWEIGHT_MAX_ITERS`` without converging.
     """
 
     best_value: float
@@ -67,6 +71,7 @@ class SearchResult:
     best_ensemble: Ensemble | None = None
     upper_bound: float | None = None
     certificate_gap: float | None = None
+    capped_solves: int = 0
     config: OptimizerConfig | None = field(default=None, repr=False)
 
 
@@ -440,7 +445,7 @@ def _reweight(obj, pool):
     Returns the solve, the kept states, their renormalized weights and whether
     every state was kept.
     """
-    ba = blahut_arimoto(obj.probabilities(pool)[0], tol=1e-13, max_iters=20000)
+    ba = blahut_arimoto(obj.probabilities(pool)[0], tol=1e-13, max_iters=REWEIGHT_MAX_ITERS)
     keep = ba.prior >= PRUNE_TOL
     return ba, pool[keep], ba.prior[keep] / ba.prior[keep].sum(), bool(keep.all())
 
@@ -449,11 +454,12 @@ def capacity_search(povm, cfg=None):
     """Informational-power search: capacity iteration over a pool of pure states.
 
     The pool starts from the distinct entropy minimizers found by restart
-    batches (run until the certificate gap collapses or the batches stagnate),
-    one perturbed copy of each, and 4*d^2 Haar-random states.  Each outer round
-    reweights the pool with :func:`blahut_arimoto`, prunes negligible weights,
-    and polishes the retained states by gradient ascent of the mutual
-    information.  The final value is re-evaluated through
+    batches (run until the certificate gap collapses or the batches stagnate)
+    and 4*d^2 Haar-random states.  Each outer round reweights the pool with
+    :func:`blahut_arimoto`, prunes negligible weights, and polishes the
+    retained states by gradient ascent of the mutual information; a reweighting
+    solve that stops at ``REWEIGHT_MAX_ITERS`` unconverged is counted in
+    ``capped_solves``.  The final value is re-evaluated through
     :func:`hoggar.infotheory.mutual_information` and reported together with the
     certificate gap against ``ln k - min H`` from the entropy search.
     """
@@ -464,17 +470,16 @@ def capacity_search(povm, cfg=None):
     minimizers, best_min, total_iters = _collect_minimizers(obj, cfg)
     rng = np.random.default_rng((cfg.seed, 10**9))
     pool = list(minimizers)
-    for s in minimizers:
-        noise = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        pool.append((s + 1e-4 * noise) / np.linalg.norm(s + 1e-4 * noise))
     pool.extend(random_pure_state(d, rng, size=4 * d * d))
     pool = np.vstack(pool)
 
     history = []
+    capped = 0
     value_prev = -math.inf
     settled = False
     for _ in range(MAX_OUTER):
         ba, pool, weights, kept_all = _reweight(obj, pool)
+        capped += not ba.converged
         value = _ensemble_info(obj.probabilities(pool)[0], weights)
         history.append(value)
         if abs(value - value_prev) < cfg.value_tol:
@@ -485,6 +490,7 @@ def capacity_search(povm, cfg=None):
         pool, _ = _ascend_states(obj, pool, weights, ASCENT_STEPS, cfg.step_init)
     if not settled:
         ba, pool, weights, _ = _reweight(obj, pool)
+        capped += not ba.converged
 
     # merge numerically identical lines so the reported ensemble is minimal
     order = np.argsort(-weights)
@@ -512,5 +518,6 @@ def capacity_search(povm, cfg=None):
         restart_values=tuple(history),
         upper_bound=float(upper),
         certificate_gap=float(upper - value),
+        capped_solves=capped,
         config=cfg,
     )

@@ -23,6 +23,9 @@ from .algebra import DEFAULT_TOL, HadamardMatrix, int_to_bits, sylvester_hadamar
 from .errors import InvalidArgumentError, UnsupportedError
 
 _SQRT3 = math.sqrt(3.0)
+# every construction vector has squared norm (d - 1) + |v|^2; below this bound
+# that sum and the products forming it stay finite
+MAX_ABS_V = 2.0**500
 
 # Parameters for which the construction is known to yield equiangular lines.
 ADMISSIBLE_V = {
@@ -95,6 +98,8 @@ def hadamard_sic_family(hadamard, v):
     if d < 2:
         raise InvalidArgumentError("construction requires d >= 2")
     v = complex(v)
+    if not abs(v) < MAX_ABS_V:
+        raise InvalidArgumentError(f"|v| = {abs(v):.6g} is out of range: it must be below 2**500")
     raw = np.repeat(hadamard.matrix[:, None, :], d, axis=1).reshape(d * d, d).copy()
     cols = np.tile(np.arange(d), d)
     raw[np.arange(d * d), cols] *= v

@@ -299,6 +299,9 @@ def _tetra_family():
             ["mutual-info", *TETRA], "--ensemble", lambda: {"weights": [], "states": []}, id="ensemble-empty"
         ),
         pytest.param(["verify-sic"], "--family", lambda: b"\xff\xfe", id="family-not-utf8"),
+        pytest.param(
+            ["verify-sic"], "--family", lambda: {**_tetra_family(), "v": [1e200, 0.0]}, id="family-v-huge"
+        ),
     ],
 )
 def test_malformed_input_files_rejected(argv, flag, payload, tmp_path, capsys):
@@ -316,7 +319,7 @@ def test_malformed_input_files_rejected(argv, flag, payload, tmp_path, capsys):
     assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
-@pytest.mark.parametrize("v", ["1/0", "1/(1-1)"])
+@pytest.mark.parametrize("v", ["1/0", "1/(1-1)", pytest.param("9" * 200, id="overflowing")])
 def test_non_finite_parameter_rejected(v, tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert run(["construct", "--d", "2", "--v", v, "--out-dir", str(out_dir)]) == 2

@@ -202,6 +202,9 @@ def test_ensemble_validation(rng):
     bad_density[1, 1] = 0.2
     ens = Ensemble(weights=np.array([1.0]), states=(np.eye(2) / 2,))
     assert ens.size == 1
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidArgumentError):
+            Ensemble(weights=np.array([bad, 1.0]), states=(np.array([1.0, 0]), np.array([0, 1.0])))
 
 
 @pytest.mark.parametrize("family", ["hoggar_v", "tetra_v", "fourier3_families"])

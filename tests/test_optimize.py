@@ -147,12 +147,10 @@ def test_blahut_arimoto_grid_oracle(rng):
     q = rng.random((2, 3))
     q /= q.sum(axis=1)[:, None]
 
-    def info(p):
-        joint = np.array([p, 1 - p])[:, None] * q
-        return eta(joint.sum(0)).sum() + eta(joint.sum(1)).sum() - eta(joint).sum()
-
     grid = np.linspace(0, 1, 200001)
-    brute = max(info(p) for p in grid)
+    joint = np.stack([grid, 1 - grid], axis=1)[:, :, None] * q  # (point, input, output)
+    info = eta(joint.sum(1)).sum(1) + eta(joint.sum(2)).sum(1) - eta(joint).sum((1, 2))
+    brute = info.max()
     result = blahut_arimoto(q, tol=1e-12)
     assert result.capacity == pytest.approx(brute, abs=1e-8)
 
@@ -262,6 +260,15 @@ def test_capacity_search_tetrahedral(tetra_v):
     assert result.best_value == pytest.approx(math.log(4 / 3), abs=1e-6)
     assert result.certificate_gap <= 1e-6
     assert result.best_value <= result.upper_bound + 1e-9
+    assert result.capped_solves == 0
+
+
+def test_capacity_search_counts_capped_solves(tetra_v, monkeypatch):
+    from hoggar import optimize
+
+    monkeypatch.setattr(optimize, "REWEIGHT_MAX_ITERS", 3)
+    result = capacity_search(tetra_v, OptimizerConfig(restarts=16, seed=1))
+    assert result.capped_solves > 0
 
 
 def test_capacity_search_computational_basis_d2():
@@ -291,6 +298,21 @@ def test_capacity_search_hoggar_other_seed(hoggar_v):
     assert result.best_value == pytest.approx(2 * math.log(4 / 3), abs=1e-6)
     assert result.certificate_gap <= 1e-6
     assert result.best_ensemble.size == 64
+
+
+def test_capacity_ensemble_is_the_twin_family(hoggar_v, hoggar_vbar):
+    # the paper's theorem: the equiprobable twin family attains the informational power
+    result = capacity_search(hoggar_v, OptimizerConfig(restarts=64, seed=1))
+    ensemble = result.best_ensemble
+    assert ensemble.size == 64
+    matched = set()
+    for state in ensemble.states:
+        dist = [projector_distance(state, twin) for twin in hoggar_vbar.states]
+        nearest = int(np.argmin(dist))
+        assert dist[nearest] < 1e-6
+        matched.add(nearest)
+    assert len(matched) == 64
+    assert np.abs(ensemble.weights - 1 / 64).max() < 1e-9
 
 
 def test_config_validation():

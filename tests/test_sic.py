@@ -119,6 +119,18 @@ def test_overlap_table_d2(tetra_v, tetra_vbar):
             assert np.abs(nonzero - nonzero[0]).max() < 1e-12
 
 
+def test_parameter_magnitude_range():
+    from hoggar import fourier_matrix
+
+    # past 2**500 the squared vector norms (d - 1) + |v|^2 would overflow
+    for hadamard in (sylvester_hadamard(1), fourier_matrix(3)):
+        fam = hadamard_sic_family(hadamard, 2.0**499)
+        assert np.isfinite(fam.states).all()
+        for v in (1e200, 1e200j, complex(math.inf, 0), complex(math.nan, 0)):
+            with pytest.raises(InvalidArgumentError):
+                hadamard_sic_family(hadamard, v)
+
+
 def test_overlap_table_rejects_mismatch(hoggar_v, tetra_vbar):
     with pytest.raises(InvalidArgumentError):
         overlap_table(hoggar_v, tetra_vbar, 0, 0)
