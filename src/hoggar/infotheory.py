@@ -52,7 +52,7 @@ class OutcomeDistribution:
     def from_probs(cls, probs):
         probs = _clamp_probs(probs)
         if abs(probs.sum() - 1.0) > 1e-12:
-            raise InvalidArgumentError(f"probabilities sum to {probs.sum()!r}, not 1")
+            raise InvalidArgumentError(f"probabilities sum to {float(probs.sum())}, not 1")
         return cls(probs=probs, zero_count=int((probs < ZERO_THRESHOLD).sum()))
 
 
@@ -182,7 +182,7 @@ class Ensemble:
             raise InvalidArgumentError("weights must be finite")
         w = np.where(w < 0, 0.0, w)
         if abs(w.sum() - 1.0) > 1e-12:
-            raise InvalidArgumentError(f"weights sum to {w.sum()!r}, not 1")
+            raise InvalidArgumentError(f"weights sum to {float(w.sum())}, not 1")
         if len(self.states) != w.shape[0]:
             raise InvalidArgumentError("weights and states differ in length")
         frozen = []

@@ -34,22 +34,23 @@ STAGNATION = 12
 MAX_OUTER = 25
 REWEIGHT_MAX_ITERS = 20000
 ASCENT_STEPS = 20
+# sphere descent: iteration cap, first step, and the stopping tolerances on the
+# gradient norm and on the change of value; STEP_INIT also starts the ascent
+# polish and VALUE_TOL also ends the capacity rounds
+MAX_ITERS = 5000
+STEP_INIT = 0.1
+GRAD_TOL = 1e-9
+VALUE_TOL = 1e-13
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     restarts: int = 64
-    max_iters: int = 5000
-    step_init: float = 0.1
-    grad_tol: float = 1e-9
-    value_tol: float = 1e-13
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_iters < 1:
-            raise InvalidArgumentError("restarts and max_iters must be >= 1")
-        if self.step_init <= 0 or self.grad_tol <= 0 or self.value_tol <= 0:
-            raise InvalidArgumentError("step and tolerances must be positive")
+        if self.restarts < 1:
+            raise InvalidArgumentError("restarts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -118,29 +119,30 @@ def entropy_gradient(psi, povm):
     return tangent[0]
 
 
-def _descend(obj, psi_rows, cfg):
+def _descend(obj, psi_rows, cfg=None):
     """Projected gradient descent with Armijo backtracking, batched over rows.
 
-    A row stops when its tangent-gradient norm drops below ``grad_tol``, when
-    two consecutive accepted steps change the value by less than ``value_tol``
-    (both count as converged), or at ``max_iters`` (not converged).
+    A row stops when its tangent-gradient norm drops below ``GRAD_TOL``, when
+    two consecutive accepted steps change the value by less than ``VALUE_TOL``
+    (both count as converged), or at ``MAX_ITERS`` (not converged).  ``cfg``
+    is not used: the descent settings are module constants.
     """
     psi = _normalize_rows(np.array(psi_rows, dtype=np.complex128))
     b = psi.shape[0]
     f = obj.value(psi)
-    alpha = np.full(b, cfg.step_init)
+    alpha = np.full(b, STEP_INIT)
     iters = np.zeros(b, dtype=np.int64)
     converged = np.zeros(b, dtype=bool)
     active = np.ones(b, dtype=bool)
     small_streak = np.zeros(b, dtype=np.int64)
 
-    for _ in range(cfg.max_iters):
+    for _ in range(MAX_ITERS):
         if not active.any():
             break
         idx = np.flatnonzero(active)
         fv, grad, g2 = obj.value_and_grad(psi[idx])
         gnorm = np.sqrt(g2)
-        flat = gnorm < cfg.grad_tol
+        flat = gnorm < GRAD_TOL
         if flat.any():
             converged[idx[flat]] = True
             active[idx[flat]] = False
@@ -179,9 +181,9 @@ def _descend(obj, psi_rows, cfg):
         psi[rows] = new_psi[moved]
         f[rows] = new_f[moved]
         iters[rows] += 1
-        alpha[rows] = np.minimum(a[moved] * 2.0, max(1.0, cfg.step_init))
+        alpha[rows] = np.minimum(a[moved] * 2.0, max(1.0, STEP_INIT))
 
-        small = delta < cfg.value_tol
+        small = delta < VALUE_TOL
         small_streak[rows[small]] += 1
         small_streak[rows[~small]] = 0
         done = rows[small_streak[rows] >= 2]
@@ -203,7 +205,7 @@ def min_entropy_search(povm, cfg=None):
     """Multi-restart entropy minimization over pure states for a fixed POVM."""
     cfg = cfg if cfg is not None else OptimizerConfig()
     obj = _EntropyObjective(povm)
-    psi, f, iters, conv = _descend(obj, _restart_states(obj, cfg, 0), cfg)
+    psi, f, iters, conv = _descend(obj, _restart_states(obj, cfg, 0))
     best = int(np.argmin(f))
     return SearchResult(
         best_value=float(f[best]),
@@ -373,7 +375,7 @@ def _collect_minimizers(obj, cfg):
             rng = np.random.default_rng((cfg.seed, 2**40 + batch))
             directed = starts.shape[0] // 2
             starts[:directed] = _deficit_starts(spectrum, directed, obj.d, rng)
-        psi, f, iters, conv = _descend(obj, starts, cfg)
+        psi, f, iters, conv = _descend(obj, starts)
         total_iters += int(iters.sum())
         batch_best = float(f.min())
         if batch_best < best_value - VALUE_MARGIN:
@@ -408,13 +410,13 @@ def _ensemble_info(p_rows, weights):
     return float(eta(q).sum() - conditional)
 
 
-def _ascend_states(obj, pool, weights, steps, step_init):
+def _ascend_states(obj, pool, weights):
     """Jacobi gradient-ascent polish of pool states at fixed weights."""
     psi = pool.copy()
-    alpha = step_init
+    alpha = STEP_INIT
     p, amps = obj.probabilities(psi)
     value = _ensemble_info(p, weights)
-    for _ in range(steps):
+    for _ in range(ASCENT_STEPS):
         q = weights @ p
         rel = np.log(np.maximum(p, GRAD_FLOOR)) - np.log(np.maximum(q, GRAD_FLOOR))[None, :]
         ambient = (obj.grad_scale * weights[:, None]) * obj.pullback(rel, psi, amps)
@@ -430,7 +432,7 @@ def _ascend_states(obj, pool, weights, steps, step_init):
             value_c = _ensemble_info(p_c, weights)
             if value_c >= value + ARMIJO_C * alpha * g2:
                 psi, p, amps, value = cand, p_c, amps_c, value_c
-                alpha = min(alpha * 2.0, max(1.0, step_init))
+                alpha = min(alpha * 2.0, max(1.0, STEP_INIT))
                 accepted = True
                 break
             alpha *= ARMIJO_SHRINK
@@ -482,12 +484,12 @@ def capacity_search(povm, cfg=None):
         capped += not ba.converged
         value = _ensemble_info(obj.probabilities(pool)[0], weights)
         history.append(value)
-        if abs(value - value_prev) < cfg.value_tol:
+        if abs(value - value_prev) < VALUE_TOL:
             # with nothing pruned, the final solve would repeat this one exactly
             settled = kept_all
             break
         value_prev = value
-        pool, _ = _ascend_states(obj, pool, weights, ASCENT_STEPS, cfg.step_init)
+        pool, _ = _ascend_states(obj, pool, weights)
     if not settled:
         ba, pool, weights, _ = _reweight(obj, pool)
         capped += not ba.converged

@@ -260,7 +260,14 @@ def test_out_of_range_arguments_rejected_at_parse_time(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["report", "--d", "2", "--jobs", "2"], ["verify-sic", "--d", "2", "--format", "csv"]]
+    "argv",
+    [
+        ["report", "--d", "2", "--jobs", "2"],
+        ["verify-sic", "--d", "2", "--format", "csv"],
+        ["construct", "--d", "2", "--family", "/nonexistent.json"],
+        ["report", "--d", "2", "--tol", "1e-300"],
+        ["zero-design", "--d", "8", "--tol", "1e-300"],
+    ],
 )
 def test_unknown_flags_rejected(argv, tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
@@ -296,6 +303,10 @@ def _tetra_family():
         pytest.param(["entropy", *TETRA], "--state", lambda: [1, 2], id="state-list"),
         pytest.param(["entropy", *TETRA], "--state", lambda: {"kind": "pure"}, id="state-no-coords"),
         pytest.param(
+            ["entropy", *TETRA], "--state", lambda: {"kind": "pure", "coords": [[2, 0], [0, 0]]},
+            id="state-unnormalized",
+        ),
+        pytest.param(
             ["mutual-info", *TETRA], "--ensemble", lambda: {"weights": [], "states": []}, id="ensemble-empty"
         ),
         pytest.param(["verify-sic"], "--family", lambda: b"\xff\xfe", id="family-not-utf8"),
@@ -316,6 +327,7 @@ def test_malformed_input_files_rejected(argv, flag, payload, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+    assert "np." not in err  # numbers print as plain floats, not numpy reprs
     assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
@@ -326,3 +338,89 @@ def test_non_finite_parameter_rejected(v, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.startswith("error: ")
     assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+def test_hadamard_file_matches_named_matrix(tmp_path, capsys):
+    from hoggar.algebra import sylvester_hadamard
+    from hoggar.serialize import dump_json, hadamard_to_dict
+
+    matrix = tmp_path / "sylvester2.json"
+    dump_json(hadamard_to_dict(sylvester_hadamard(1)), matrix)
+    for name, choice in (("named", "sylvester"), ("file", str(matrix))):
+        assert run(["construct", *TETRA, "--hadamard", choice, "--out-dir", str(tmp_path / name)]) == 0
+    assert read(tmp_path / "named" / "family.json") == read(tmp_path / "file" / "family.json")
+    capsys.readouterr()
+    out_dir = tmp_path / "d3"
+    assert run(["construct", "--d", "3", "--v", "0", "--hadamard", str(matrix), "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+SIC_CHECKS = ["identity_resolution", "equiangular_overlaps"]
+TWIN_CHECKS = ["twin_zero_pattern", "twin_entropy_min_bound"]
+MUTUAL_INFO_CHECKS = [
+    "holevo_equals_mutual_information", "average_state_uniform_outcomes", "mutual_information_expected",
+]
+MIN_ENTROPY_CHECKS = ["min_entropy_converged", "min_entropy_self_consistent", "min_entropy_equals_sic_bound"]
+CAPACITY_CHECKS = [
+    "capacity_converged", "capacity_below_certificate", "certificate_gap", "informational_power_equals_sic_bound",
+]
+DESIGN_CHECKS = [
+    "frame_potential_t1_matches_moment", "frame_potential_t2_matches_moment", "frame_potential_t3_exceeds_moment",
+]
+BLOCH_CHECKS = ["symmetric_subspace_dimension", "regular_simplex_family", "regular_simplex_twin", "transpose_reflection"]
+HOGGAR = ["--d", "8", "--v=-1+2i"]
+SEARCH = ["--restarts", "8", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        pytest.param(["construct", *TETRA], ["hadamard_valid"], id="construct"),
+        pytest.param(["verify-sic", *TETRA], SIC_CHECKS, id="verify-sic"),
+        pytest.param(["covariance", *HOGGAR], ["pauli_covariance"], id="covariance"),
+        pytest.param(["entropy", *TETRA], ["maximally_mixed_uniform"], id="entropy"),
+        pytest.param(["entropy", *TETRA, "--twin"], TWIN_CHECKS, id="entropy-twin"),
+        pytest.param(["entropy", *TETRA, "--state", "STATE"], ["distribution_normalized"], id="entropy-state"),
+        pytest.param(
+            ["entropy", "--d", "3", "--v", "0", "--twin"], ["twin_distributions_normalized"], id="entropy-twin-d3"
+        ),
+        pytest.param(["min-entropy", *TETRA, *SEARCH], MIN_ENTROPY_CHECKS, id="min-entropy"),
+        pytest.param(["info-power", *TETRA, *SEARCH], CAPACITY_CHECKS, id="info-power"),
+        pytest.param(["certify", *TETRA, *SEARCH], SIC_CHECKS + MIN_ENTROPY_CHECKS + CAPACITY_CHECKS, id="certify"),
+        pytest.param(["mutual-info", *TETRA], MUTUAL_INFO_CHECKS, id="mutual-info"),
+        pytest.param(["design-check", *TETRA], DESIGN_CHECKS, id="design-check"),
+        pytest.param(
+            ["zero-design", *HOGGAR],
+            [
+                "design_parameters", "symmetric_design_axioms", "difference_set_development",
+                "block_translation", "membership_criterion_sign",
+            ],
+            id="zero-design",
+        ),
+        pytest.param(["bloch", *TETRA], BLOCH_CHECKS, id="bloch"),
+        pytest.param(
+            ["report", *TETRA, *SEARCH, "--samples", "2000", "--mc-samples", "20000"],
+            SIC_CHECKS + TWIN_CHECKS + MUTUAL_INFO_CHECKS + MIN_ENTROPY_CHECKS + CAPACITY_CHECKS
+            + DESIGN_CHECKS + BLOCH_CHECKS
+            + [
+                "pure_state_entropy_floor", "pure_state_entropy_ceiling", "index_of_coincidence_constant",
+                "bsc_capacity", "haar_moment_monte_carlo", "entropy_gradient_finite_difference",
+            ],
+            id="report",
+        ),
+    ],
+)
+def test_subcommand_check_names(argv, names, tmp_path):
+    from hoggar import tetrahedral_family
+    from hoggar.serialize import dump_json, state_to_dict
+
+    state = tmp_path / "state.json"
+    dump_json(state_to_dict(tetrahedral_family().states[0]), state)
+    out_dir = tmp_path / "out"
+    argv = [str(state) if a == "STATE" else a for a in argv]
+    assert run(argv + ["--out-dir", str(out_dir)]) == 0
+    manifest = load_json(out_dir / f"{argv[0].replace('-', '_')}_manifest.json")
+    assert [c["name"] for c in manifest["checks"]] == names
+    assert all(c["pass"] for c in manifest["checks"])

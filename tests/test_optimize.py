@@ -318,5 +318,3 @@ def test_capacity_ensemble_is_the_twin_family(hoggar_v, hoggar_vbar):
 def test_config_validation():
     with pytest.raises(InvalidArgumentError):
         OptimizerConfig(restarts=0)
-    with pytest.raises(InvalidArgumentError):
-        OptimizerConfig(grad_tol=-1.0)
