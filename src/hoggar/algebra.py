@@ -22,6 +22,11 @@ from .errors import InvalidArgumentError
 DEFAULT_TOL = 1e-12
 
 
+def _plain(x):
+    """``x`` for an error message: a numpy scalar becomes the Python scalar it holds."""
+    return x.item() if isinstance(x, np.generic) else x
+
+
 def int_to_bits(x, width=3):
     """MSB-first binary expansion of ``x`` as a tuple of ``width`` bits."""
     if x < 0 or x >= (1 << width):
@@ -34,7 +39,7 @@ def bits_to_int(bits):
     value = 0
     for b in bits:
         if b not in (0, 1):
-            raise InvalidArgumentError(f"bit {b!r} is not 0 or 1")
+            raise InvalidArgumentError(f"bit {_plain(b)!r} is not 0 or 1")
         value = (value << 1) | b
     return value
 
@@ -108,7 +113,7 @@ def sylvester_hadamard(n):
     bit dot-product formula entrywise under the MSB-first index convention.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidArgumentError(f"Sylvester exponent must be a positive integer, got {n!r}")
+        raise InvalidArgumentError(f"Sylvester exponent must be a positive integer, got {_plain(n)!r}")
     block = np.array([[1, 1], [1, -1]], dtype=np.int64)
     signs = reduce(np.kron, [block] * n)
     return HadamardMatrix(matrix=signs.astype(np.complex128), is_real=True, signs=signs)
@@ -117,7 +122,7 @@ def sylvester_hadamard(n):
 def fourier_matrix(d):
     """The d x d discrete Fourier Hadamard matrix, entry (j,k) = exp(2*pi*i*j*k/d)."""
     if not isinstance(d, (int, np.integer)) or d < 2:
-        raise InvalidArgumentError(f"Fourier dimension must be an integer >= 2, got {d!r}")
+        raise InvalidArgumentError(f"Fourier dimension must be an integer >= 2, got {_plain(d)!r}")
     jk = np.outer(np.arange(d), np.arange(d))
     mat = np.exp(2j * np.pi * jk / d)
     if d == 2:

@@ -57,6 +57,7 @@ from .optimize import (
     blahut_arimoto,
     capacity_search,
     entropy_gradient,
+    haar_blocks,
     min_entropy_search,
     random_pure_state,
 )
@@ -396,20 +397,23 @@ def _bloch(run, tol):
         report = transpose_reflection_check(fam, twin, basis, tol)
         checks.append(Check("transpose_reflection", report.passed, report.worst_deviation, 0.0, tol))
     if run.args.format == "csv":
-        for name, family in (("family", fam), ("twin", twin)):
-            write_csv(run.artifact(f"bloch_{name}.csv"), bloch_matrix(family, basis), header=basis.names)
-        gram = bloch_matrix(fam, basis) @ bloch_matrix(fam, basis).T
-        write_csv(run.artifact("bloch_gram.csv"), gram)
+        vectors = {name: bloch_matrix(family, basis) for name, family in (("family", fam), ("twin", twin))}
+        for name, matrix in vectors.items():
+            write_csv(run.artifact(f"bloch_{name}.csv"), matrix, header=basis.names)
+        # numpy forms M @ M.T of one buffer by a symmetric rank-k update, whose
+        # last bits differ from the general product of two buffers (d = 5)
+        write_csv(run.artifact("bloch_gram.csv"), vectors["family"] @ vectors["family"].copy().T)
     return checks
 
 
 def _statistics(run, tol):
     fam, d = run.fam, run.fam.d
     rng = np.random.default_rng((run.args.seed, 2**32))
-    states = random_pure_state(d, rng, size=run.args.samples)
-    probs = outcome_matrix(states, fam)
-    entropies = eta(probs).sum(axis=1)
-    ics = (probs * probs).sum(axis=1)
+    entropies, ics = np.empty(run.args.samples), np.empty(run.args.samples)
+    for rows, states in haar_blocks(d, rng, run.args.samples):
+        probs = outcome_matrix(states, fam)
+        entropies[rows] = eta(probs).sum(axis=1)
+        ics[rows] = (probs * probs).sum(axis=1)
     floor = sic_min_entropy_bound(d)
     ceiling = math.log(d) + ((d - 1) / d) * math.log(d + 1)
     ic_expected = 2.0 / (d * (d + 1))
@@ -436,8 +440,9 @@ def _oracles(run, tol):
     # invariant-measure moment against Monte Carlo
     rng = np.random.default_rng((seed, 2**33))
     a = random_pure_state(fam.d, rng, size=mc_samples)
-    b = random_pure_state(fam.d, rng, size=mc_samples)
-    u = np.abs(np.einsum("ni,ni->n", a.conj(), b)) ** 2
+    u = np.empty(mc_samples)
+    for rows, b in haar_blocks(fam.d, rng, mc_samples):
+        u[rows] = np.abs(np.einsum("ni,ni->n", a[rows].conj(), b)) ** 2
     mc = float((u**2).mean())
     se = float((u**2).std(ddof=1) / math.sqrt(mc_samples))
     checks.append(near("haar_moment_monte_carlo", mc, haar_moment(fam.d, 2), 3 * se))

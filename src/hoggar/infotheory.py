@@ -261,7 +261,7 @@ def mutual_information(ensemble, povm):
     P = joint_table(ensemble, povm).table
     value = eta(P.sum(axis=1)).sum() + eta(P.sum(axis=0)).sum() - eta(P).sum()
     if value < -1e-12:
-        raise InvalidArgumentError(f"mutual information evaluated to {value!r}")
+        raise InvalidArgumentError(f"mutual information evaluated to {float(value)!r}")
     return float(max(value, 0.0))
 
 
@@ -316,7 +316,7 @@ def ht_minimizer(r, k):
     inv = 1.0 / r
     m = round(inv)
     if abs(inv - m) > 1e-9:
-        raise UnsupportedError(f"1/r = {inv!r} is not an integer; minimizer form unknown")
+        raise UnsupportedError(f"1/r = {float(inv)!r} is not an integer; minimizer form unknown")
     if m > k:
         raise InvalidArgumentError(f"need at least {m} outcomes, got {k}")
     probs = np.zeros(k)

@@ -41,6 +41,8 @@ MAX_ITERS = 5000
 STEP_INIT = 0.1
 GRAD_TOL = 1e-9
 VALUE_TOL = 1e-13
+# rows per block when Haar states are drawn and evaluated as a stream
+ROW_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -76,15 +78,51 @@ class SearchResult:
     config: OptimizerConfig | None = field(default=None, repr=False)
 
 
+def row_blocks(n):
+    """Consecutive slices covering ``range(n)`` in order, each of at most ``ROW_BLOCK`` rows.
+
+    A lone last row joins the block before it (8193 rows give 8191 + 2):
+    a one-row outcome product runs through a matrix-vector kernel, whose last
+    bits can differ from the same row of a matrix product.
+    """
+    starts = list(range(0, n, ROW_BLOCK))
+    if n > 1 and n % ROW_BLOCK == 1:
+        starts[-1] -= 1
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def haar_blocks(d, rng, n):
+    """Yield ``(rows, states)``: n Haar-uniform unit vectors, one :func:`row_blocks` slice at a time.
+
+    The generator values and their order are those of the one-shot
+    ``standard_normal((n, d)) + 1j * standard_normal((n, d))``: all real parts
+    first, held in one ``(n, d)`` float buffer, then the imaginary parts one
+    block at a time.  Each row is normalized on its own, so every yielded row
+    is bit for bit the same row of the one-shot draw.
+    """
+    real = rng.standard_normal((n, d))
+    for rows in row_blocks(n):
+        z = real[rows] + 1j * rng.standard_normal((rows.stop - rows.start, d))
+        z /= np.linalg.norm(z, axis=1)[:, None]
+        yield rows, z
+
+
 def random_pure_state(d, rng, size=None):
-    """Haar-uniform unit vector(s): normalized i.i.d. standard complex Gaussians."""
+    """Haar-uniform unit vector(s): normalized i.i.d. standard complex Gaussians.
+
+    Collects the blocks of :func:`haar_blocks`, so the result and the
+    generator's state after the draw equal those of drawing all ``(size, d)``
+    real parts and then all imaginary parts at once; callers that need only
+    one block at a time should iterate :func:`haar_blocks` themselves.
+    """
     if d < 2:
         raise InvalidArgumentError("dimension must be >= 2")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     n = 1 if size is None else int(size)
-    z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-    z /= np.linalg.norm(z, axis=1)[:, None]
+    z = np.empty((n, d), dtype=np.complex128)
+    for rows, states in haar_blocks(d, rng, n):
+        z[rows] = states
     return z[0] if size is None else z
 
 

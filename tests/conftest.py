@@ -36,3 +36,16 @@ def fourier3_families():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture(scope="session")
+def one_shot_haar():
+    """The one-shot Haar draw that the streamed sampler must reproduce bit for bit."""
+
+    def draw(d, rng, size=None):
+        n = 1 if size is None else int(size)
+        z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        z /= np.linalg.norm(z, axis=1)[:, None]
+        return z[0] if size is None else z
+
+    return draw

@@ -48,6 +48,9 @@ def test_real_row_pairs_split_evenly():
 def test_sylvester_rejects_bad_exponent():
     with pytest.raises(InvalidArgumentError):
         sylvester_hadamard(0)
+    # numpy scalars show as plain numbers, not as np.int64(0)
+    with pytest.raises(InvalidArgumentError, match=r"integer, got 0$"):
+        sylvester_hadamard(np.int64(0))
 
 
 def test_fourier_small_cases():
@@ -64,6 +67,8 @@ def test_fourier_small_cases():
 def test_fourier_rejects_bad_dimension():
     with pytest.raises(InvalidArgumentError):
         fourier_matrix(1)
+    with pytest.raises(InvalidArgumentError, match=r">= 2, got 1$"):
+        fourier_matrix(np.int64(1))
 
 
 def test_is_hadamard_cases():
@@ -108,3 +113,5 @@ def test_bit_helpers_roundtrip():
     assert (a ^ b) ^ b == a
     with pytest.raises(InvalidArgumentError):
         int_to_bits(8, 3)
+    with pytest.raises(InvalidArgumentError, match=r"^bit 2 is not 0 or 1$"):
+        bits_to_int(np.array([2, 0]))

@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hoggar.cli import run
+from hoggar.cli import Run, _oracles, _statistics, build_parser, run
+from hoggar.infotheory import eta, outcome_matrix
 from hoggar.serialize import dumps, load_json
 
 
@@ -232,6 +234,45 @@ def test_report_command_d2(tmp_path):
         assert expected in names
     assert all(c["pass"] for c in manifest["checks"])
     assert (tmp_path / "family.json").exists()
+
+
+def report_run(tmp_path, samples, mc_samples):
+    """The shared state of the steps of ``report --d 8`` at seed 1."""
+    argv = ["report", "--d", "8", "--samples", str(samples), "--mc-samples", str(mc_samples)]
+    return Run(build_parser().parse_args(argv + ["--out-dir", str(tmp_path)]))
+
+
+def test_sampling_checks_match_full_arrays(tmp_path, one_shot_haar):
+    # 8193 rows stream as blocks of 8191 and 2 rows
+    n, d = 8193, 8
+    report = report_run(tmp_path, n, n)
+    states = one_shot_haar(d, np.random.default_rng((1, 2**32)), size=n)
+    probs = outcome_matrix(states, report.fam)
+    entropies = eta(probs).sum(axis=1)
+    ics = (probs * probs).sum(axis=1)
+    expected = [float(entropies.min()), float(entropies.max()), float(np.abs(ics - 2.0 / (d * (d + 1))).max())]
+    assert [c.value for c in _statistics(report, None)] == expected
+    rng = np.random.default_rng((1, 2**33))
+    a = one_shot_haar(d, rng, size=n)
+    b = one_shot_haar(d, rng, size=n)
+    u = np.abs(np.einsum("ni,ni->n", a.conj(), b)) ** 2
+    mc, se = float((u**2).mean()), float((u**2).std(ddof=1) / math.sqrt(n))
+    check = next(c for c in _oracles(report, None) if c.name == "haar_moment_monte_carlo")
+    assert (check.value, check.tolerance) == (mc, 3 * se)
+
+
+def test_sampling_steps_stream_in_bounded_memory(tmp_path):
+    # a full-size sweep holds several (n, 64) float arrays: about 690 MiB here
+    report = report_run(tmp_path, 262144, 262144)
+    for step, bound_mib in ((_statistics, 128), (_oracles, 80)):
+        tracemalloc.start()
+        try:
+            checks = step(report, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(c.passed for c in checks)
+        assert peak <= bound_mib * 2**20, f"{step.__name__} peaked at {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize(

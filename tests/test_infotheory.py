@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hoggar import infotheory
 from hoggar import (
     Ensemble,
     InvalidArgumentError,
@@ -150,8 +151,18 @@ def test_ht_minimizer():
     assert shannon_entropy(d2) == pytest.approx(math.log(3), abs=1e-12)
     with pytest.raises(UnsupportedError):
         ht_minimizer(0.3, 8)
+    with pytest.raises(UnsupportedError, match=r"^1/r = 3\.3333333333333335 is not"):
+        ht_minimizer(np.float64(0.3), 8)
     with pytest.raises(InvalidArgumentError):
         ht_minimizer(1 / 36, 8)
+
+
+def test_negative_mutual_information_shows_a_plain_float(hoggar_v, monkeypatch):
+    # a table that is no distribution gives a negative value: -2 ln 2
+    monkeypatch.setattr(infotheory, "joint_table", lambda ensemble, povm: infotheory.JointTable(table=[[2.0]]))
+    with pytest.raises(InvalidArgumentError) as excinfo:
+        mutual_information(twin_ensemble(hoggar_v), hoggar_v)
+    assert str(excinfo.value) == f"mutual information evaluated to {-2 * math.log(2.0)!r}"
 
 
 def test_entropy_concavity(hoggar_v, rng):

@@ -17,6 +17,7 @@ from hoggar import (
     shannon_entropy,
 )
 from hoggar.infotheory import eta
+from hoggar.optimize import ROW_BLOCK, row_blocks
 
 
 def entropy_of(psi, fam):
@@ -29,6 +30,29 @@ def test_random_pure_state_determinism():
     assert np.array_equal(a, b)
     c = random_pure_state(8, np.random.default_rng((1, 1)))
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, 2, 3, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1, 10**6]
+)
+def test_row_blocks_cover_rows_without_lone_tail(n):
+    blocks = row_blocks(n)
+    covered = [i for rows in blocks for i in range(n)[rows]]
+    assert covered == list(range(n))
+    sizes = [rows.stop - rows.start for rows in blocks]
+    assert all(1 <= size <= ROW_BLOCK for size in sizes)
+    assert n == 1 or 1 not in sizes
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+@pytest.mark.parametrize("size", [None, 1, 2, 8191, 8192, 8193, 24577])
+def test_random_pure_state_matches_one_shot_draw(d, size, one_shot_haar):
+    streamed_rng, one_shot_rng = np.random.default_rng((5, d)), np.random.default_rng((5, d))
+    streamed = random_pure_state(d, streamed_rng, size=size)
+    expected = one_shot_haar(d, one_shot_rng, size=size)
+    assert streamed.shape == expected.shape
+    assert np.array_equal(streamed.view(np.float64), expected.view(np.float64))
+    assert streamed_rng.bit_generator.state == one_shot_rng.bit_generator.state
 
 
 def test_random_pure_state_moments(rng):
