@@ -110,12 +110,18 @@ def near(name, value, expected, tolerance):
 
 
 class Run:
-    """What the steps of one subcommand share: its arguments, its family and its artifacts."""
+    """What the steps of one subcommand share: its arguments, family, artifacts and entropy result.
+
+    ``entropy`` is the min-entropy step's search result, once that step has
+    run; the capacity step passes it on, so the first restart batch is
+    descended once.
+    """
 
     def __init__(self, args):
         self.args = args
         self.fam = _family(args)
         self.artifacts = []
+        self.entropy = None
 
     def artifact(self, name, path=None):
         """Record an artifact written to ``path``, by default ``name`` in the output directory."""
@@ -291,7 +297,7 @@ def _search_result_dict(result):
 
 def _min_entropy(run, tol):
     fam = run.fam
-    result = min_entropy_search(fam, run.config())
+    result = run.entropy = min_entropy_search(fam, run.config())
     recheck = shannon_entropy(outcome_distribution(result.best_state, fam))
     checks = [
         Check("min_entropy_converged", result.converged, result.best_value),
@@ -305,7 +311,7 @@ def _min_entropy(run, tol):
 
 def _capacity(run, tol):
     fam = run.fam
-    result = capacity_search(fam, run.config())
+    result = capacity_search(fam, run.config(), entropy=run.entropy)
     checks = [
         Check("capacity_converged", result.converged, result.best_value),
         Check(

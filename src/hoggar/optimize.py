@@ -15,6 +15,7 @@ batch is scheduled.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,14 +46,22 @@ VALUE_TOL = 1e-13
 ROW_BLOCK = 8192
 
 
+def _is_integer(x):
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     restarts: int = 64
     seed: int = 0
 
     def __post_init__(self):
+        if not _is_integer(self.restarts):
+            raise InvalidArgumentError(f"restarts must be an integer, got {self.restarts}")
         if self.restarts < 1:
             raise InvalidArgumentError("restarts must be >= 1")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise InvalidArgumentError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -63,7 +72,10 @@ class SearchResult:
     per-round capacity values for the ensemble search.  ``converged`` is the
     flag of the deciding solve (the best restart, or the final capacity
     iteration); ``capped_solves`` counts the capacity search's reweighting
-    solves that stopped at ``REWEIGHT_MAX_ITERS`` without converging.
+    solves that stopped at ``REWEIGHT_MAX_ITERS`` without converging.  An
+    entropy search also keeps its POVM and its whole restart batch (states,
+    values, iteration counts, converged flags) in ``_first_batch``, for
+    :func:`capacity_search` to reuse; the field is neither shown nor compared.
     """
 
     best_value: float
@@ -76,6 +88,7 @@ class SearchResult:
     certificate_gap: float | None = None
     capped_solves: int = 0
     config: OptimizerConfig | None = field(default=None, repr=False)
+    _first_batch: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def row_blocks(n):
@@ -117,6 +130,8 @@ def random_pure_state(d, rng, size=None):
     """
     if d < 2:
         raise InvalidArgumentError("dimension must be >= 2")
+    if size is not None and (not _is_integer(size) or size < 0):
+        raise InvalidArgumentError(f"size must be a non-negative integer, got {size}")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     n = 1 if size is None else int(size)
@@ -243,7 +258,7 @@ def min_entropy_search(povm, cfg=None):
     """Multi-restart entropy minimization over pure states for a fixed POVM."""
     cfg = cfg if cfg is not None else OptimizerConfig()
     obj = _EntropyObjective(povm)
-    psi, f, iters, conv = _descend(obj, _restart_states(obj, cfg, 0))
+    psi, f, iters, conv = batch = _descend(obj, _restart_states(obj, cfg, 0))
     best = int(np.argmin(f))
     return SearchResult(
         best_value=float(f[best]),
@@ -252,6 +267,7 @@ def min_entropy_search(povm, cfg=None):
         converged=bool(conv[best]),
         restart_values=tuple(float(x) for x in f),
         config=cfg,
+        _first_batch=(povm, batch),
     )
 
 
@@ -386,7 +402,7 @@ def _projector_distances(projectors, proj):
     return np.abs(projectors - proj).max(axis=(1, 2))
 
 
-def _collect_minimizers(obj, cfg):
+def _collect_minimizers(obj, cfg, first):
     """Gather the distinct global entropy minimizers by repeated restart batches.
 
     Only converged states within ``VALUE_MARGIN`` of the running best value are
@@ -398,7 +414,8 @@ def _collect_minimizers(obj, cfg):
     signal: it collapses exactly when the collected minimizers support a
     capacity-achieving ensemble.  After an unproductive batch, half of the
     next batch restarts from perturbed coverage-deficit directions instead of
-    fresh Haar draws.
+    fresh Haar draws.  Batch 0 is the entropy search's batch; ``first``, its
+    descent output or None, is used in place of descending it again.
     """
     minimizers = []
     projectors = np.empty((0, obj.d, obj.d), dtype=np.complex128)
@@ -408,12 +425,15 @@ def _collect_minimizers(obj, cfg):
     no_new = 0
     spectrum = None
     for batch in range(MAX_BATCHES):
-        starts = _restart_states(obj, cfg, batch * cfg.restarts)
-        if spectrum is not None:
-            rng = np.random.default_rng((cfg.seed, 2**40 + batch))
-            directed = starts.shape[0] // 2
-            starts[:directed] = _deficit_starts(spectrum, directed, obj.d, rng)
-        psi, f, iters, conv = _descend(obj, starts)
+        if batch == 0 and first is not None:
+            psi, f, iters, conv = first
+        else:
+            starts = _restart_states(obj, cfg, batch * cfg.restarts)
+            if spectrum is not None:
+                rng = np.random.default_rng((cfg.seed, 2**40 + batch))
+                directed = starts.shape[0] // 2
+                starts[:directed] = _deficit_starts(spectrum, directed, obj.d, rng)
+            psi, f, iters, conv = _descend(obj, starts)
         total_iters += int(iters.sum())
         batch_best = float(f.min())
         if batch_best < best_value - VALUE_MARGIN:
@@ -490,7 +510,7 @@ def _reweight(obj, pool):
     return ba, pool[keep], ba.prior[keep] / ba.prior[keep].sum(), bool(keep.all())
 
 
-def capacity_search(povm, cfg=None):
+def capacity_search(povm, cfg=None, entropy=None):
     """Informational-power search: capacity iteration over a pool of pure states.
 
     The pool starts from the distinct entropy minimizers found by restart
@@ -502,12 +522,26 @@ def capacity_search(povm, cfg=None):
     ``capped_solves``.  The final value is re-evaluated through
     :func:`hoggar.infotheory.mutual_information` and reported together with the
     certificate gap against ``ln k - min H`` from the entropy search.
+
+    ``entropy``, a :func:`min_entropy_search` result for this same ``povm``
+    object and an equal ``cfg``, supplies the first restart batch already
+    descended; the result is the same as without it.  A result from another
+    POVM or another configuration raises :class:`InvalidArgumentError`.
     """
     cfg = cfg if cfg is not None else OptimizerConfig()
+    first = None
+    if entropy is not None:
+        if entropy._first_batch is None:
+            raise InvalidArgumentError("entropy must be a min_entropy_search result")
+        source, first = entropy._first_batch
+        if source is not povm:
+            raise InvalidArgumentError("entropy result was computed for another POVM")
+        if entropy.config != cfg:
+            raise InvalidArgumentError("entropy result was computed with another OptimizerConfig")
     obj = _EntropyObjective(povm)
     d, k = obj.d, obj.k
 
-    minimizers, best_min, total_iters = _collect_minimizers(obj, cfg)
+    minimizers, best_min, total_iters = _collect_minimizers(obj, cfg, first)
     rng = np.random.default_rng((cfg.seed, 10**9))
     pool = list(minimizers)
     pool.extend(random_pure_state(d, rng, size=4 * d * d))

@@ -126,6 +126,24 @@ def test_info_power_command_d2(tmp_path):
     )
 
 
+def test_certify_results_match_the_single_searches(tmp_path, monkeypatch):
+    from hoggar import optimize
+
+    calls = []
+    descend = optimize._descend
+    monkeypatch.setattr(optimize, "_descend", lambda *args: calls.append(1) or descend(*args))
+    flags = ["--d", "3", "--v=0", "--seed", "1"]
+    descents = {}
+    for command in ("certify", "min-entropy", "info-power"):
+        calls.clear()
+        assert run([command] + flags + ["--out-dir", str(tmp_path / command)]) == 0
+        descents[command] = len(calls)
+    for command, name in (("min-entropy", "min_entropy_result.json"), ("info-power", "info_power_result.json")):
+        assert read(tmp_path / "certify" / name) == read(tmp_path / command / name)
+    # certify descends the first restart batch once, not once per search
+    assert descents["certify"] == descents["min-entropy"] + descents["info-power"] - 1
+
+
 def test_zero_design_csv_artifacts(tmp_path):
     family = tmp_path / "fam.json"
     run(["construct", "--d", "8", "--v=-1+2i", "--out", str(family), "--out-dir", str(tmp_path)])

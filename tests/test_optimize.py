@@ -55,6 +55,14 @@ def test_random_pure_state_matches_one_shot_draw(d, size, one_shot_haar):
     assert streamed_rng.bit_generator.state == one_shot_rng.bit_generator.state
 
 
+def test_random_pure_state_checks_size():
+    for size in (-1, 2.5, "3", True):
+        with pytest.raises(InvalidArgumentError, match="size must be a non-negative integer"):
+            random_pure_state(3, 1, size=size)
+    assert random_pure_state(3, 1, size=0).shape == (0, 3)
+    assert random_pure_state(3, 1, size=np.int64(2)).shape == (2, 3)
+
+
 def test_random_pure_state_moments(rng):
     samples = random_pure_state(8, rng, size=100000)
     norms = np.linalg.norm(samples, axis=1)
@@ -342,3 +350,63 @@ def test_capacity_ensemble_is_the_twin_family(hoggar_v, hoggar_vbar):
 def test_config_validation():
     with pytest.raises(InvalidArgumentError):
         OptimizerConfig(restarts=0)
+    for restarts in (2.5, "8", None, True):
+        with pytest.raises(InvalidArgumentError, match="restarts must be an integer"):
+            OptimizerConfig(restarts=restarts)
+    for seed in (-1, 1.5, "1", None, False):
+        with pytest.raises(InvalidArgumentError, match="seed must be a non-negative integer"):
+            OptimizerConfig(seed=seed)
+    assert OptimizerConfig(restarts=np.int64(4), seed=np.uint32(7)).seed == 7
+
+
+@pytest.fixture(params=["tetrahedral", "fourier3-v0"])
+def small_family(request, tetra_v, fourier3_families):
+    return tetra_v if request.param == "tetrahedral" else fourier3_families[0]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+# 4 restarts take the collection past batch 0; 64, the command-line default, stop there
+@pytest.mark.parametrize("restarts", [4, 64])
+def test_capacity_search_reuses_entropy_batch(small_family, seed, restarts):
+    cfg = OptimizerConfig(restarts=restarts, seed=seed)
+    alone = capacity_search(small_family, cfg)
+    shared = capacity_search(small_family, cfg, entropy=min_entropy_search(small_family, cfg))
+    assert shared.best_value == alone.best_value
+    assert shared.iterations_used == alone.iterations_used
+    assert shared.restart_values == alone.restart_values
+    assert shared.certificate_gap == alone.certificate_gap
+    assert shared.capped_solves == alone.capped_solves
+    assert shared.converged == alone.converged
+    assert np.array_equal(shared.best_ensemble.weights, alone.best_ensemble.weights)
+    assert np.array_equal(np.array(shared.best_ensemble.states), np.array(alone.best_ensemble.states))
+
+
+def test_capacity_search_with_entropy_descends_once_less(tetra_v, monkeypatch):
+    from hoggar import optimize
+
+    calls = []
+    descend = optimize._descend
+    monkeypatch.setattr(optimize, "_descend", lambda *args: calls.append(1) or descend(*args))
+    cfg = OptimizerConfig(restarts=4, seed=1)
+    capacity_search(tetra_v, cfg)
+    alone = len(calls)
+    assert alone > 1
+    entropy = min_entropy_search(tetra_v, cfg)
+    assert len(calls) == alone + 1
+    capacity_search(tetra_v, cfg, entropy=entropy)
+    assert len(calls) == 2 * alone
+
+
+def test_capacity_search_refuses_a_foreign_entropy_result(tetra_v):
+    from hoggar import tetrahedral_family
+
+    cfg = OptimizerConfig(restarts=16, seed=1)
+    entropy = min_entropy_search(tetra_v, cfg)
+    for other in (OptimizerConfig(restarts=16, seed=2), OptimizerConfig(restarts=8, seed=1), None):
+        with pytest.raises(InvalidArgumentError, match="computed with"):
+            capacity_search(tetra_v, other, entropy=entropy)
+    # an equal family built anew is another POVM: identity, not value, decides
+    with pytest.raises(InvalidArgumentError, match="another POVM"):
+        capacity_search(tetrahedral_family(), cfg, entropy=entropy)
+    with pytest.raises(InvalidArgumentError, match="min_entropy_search result"):
+        capacity_search(tetra_v, cfg, entropy=capacity_search(tetra_v, cfg))
