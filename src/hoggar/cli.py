@@ -60,6 +60,7 @@ from .optimize import (
     haar_blocks,
     min_entropy_search,
     random_pure_state,
+    row_blocks,
 )
 from .serialize import (
     FORMAT_VERSION,
@@ -443,12 +444,10 @@ def _oracles(run, tol):
     ba = blahut_arimoto(np.array([[1 - flip, flip], [flip, 1 - flip]]), tol=1e-13)
     bsc = math.log(2.0) - float(eta([flip, 1 - flip]).sum())
     checks = [near("bsc_capacity", ba.capacity, bsc, 1e-9)]
-    # invariant-measure moment against Monte Carlo
+    # Haar moment by unitary invariance: |<a|b>|^2 has the law of |<e0|b>|^2, so draw b alone
     rng = np.random.default_rng((seed, 2**33))
-    a = random_pure_state(fam.d, rng, size=mc_samples)
-    u = np.empty(mc_samples)
-    for rows, b in haar_blocks(fam.d, rng, mc_samples):
-        u[rows] = np.abs(np.einsum("ni,ni->n", a[rows].conj(), b)) ** 2
+    squares = (rng.standard_normal((r.stop - r.start, 2 * fam.d)) ** 2 for r in row_blocks(mc_samples))
+    u = np.concatenate([(x[:, 0] + x[:, fam.d]) / x.sum(axis=1) for x in squares])
     mc = float((u**2).mean())
     se = float((u**2).std(ddof=1) / math.sqrt(mc_samples))
     checks.append(near("haar_moment_monte_carlo", mc, haar_moment(fam.d, 2), 3 * se))

@@ -322,18 +322,22 @@ def parse_complex(text):
             advance()
             return 1j
         if tok == "sqrt3":
-            advance()
             value = complex(math.sqrt(3.0))
-        else:
-            advance()
+        elif tok[0] in "0123456789.":
             value = complex(float(tok))
+        else:
+            raise InvalidArgumentError(f"unexpected {tok!r} in complex literal {text!r}")
+        advance()
         # a trailing i/j or sqrt3 binds tightly: 2i, sqrt3i
         while peek() in ("i", "j", "sqrt3"):
             value = value * (1j if peek() in ("i", "j") else math.sqrt(3.0))
             advance()
         return value
 
-    value = parse_expr()
+    try:
+        value = parse_expr()
+    except RecursionError:
+        raise InvalidArgumentError(f"complex literal {text!r} is nested too deeply") from None
     if state["i"] != len(tokens):
         raise InvalidArgumentError(f"trailing input in complex literal {text!r}")
     if not cmath.isfinite(value):

@@ -7,6 +7,7 @@ import pytest
 
 from hoggar.cli import Run, _oracles, _statistics, build_parser, run
 from hoggar.infotheory import eta, outcome_matrix
+from hoggar.optimize import row_blocks
 from hoggar.serialize import dumps, load_json
 
 
@@ -270,19 +271,23 @@ def test_sampling_checks_match_full_arrays(tmp_path, one_shot_haar):
     ics = (probs * probs).sum(axis=1)
     expected = [float(entropies.min()), float(entropies.max()), float(np.abs(ics - 2.0 / (d * (d + 1))).max())]
     assert [c.value for c in _statistics(report, None)] == expected
+    # the oracle draws only the second state b, d real and d imaginary parts per row,
+    # block by block, and measures it against e0
     rng = np.random.default_rng((1, 2**33))
-    a = one_shot_haar(d, rng, size=n)
-    b = one_shot_haar(d, rng, size=n)
-    u = np.abs(np.einsum("ni,ni->n", a.conj(), b)) ** 2
+    x = np.concatenate([rng.standard_normal((rows.stop - rows.start, 2 * d)) for rows in row_blocks(n)])
+    u = (x[:, 0] ** 2 + x[:, d] ** 2) / (x * x).sum(axis=1)
+    b = (x[:, :d] + 1j * x[:, d:]) / np.linalg.norm(x, axis=1)[:, None]
+    np.testing.assert_allclose(u, np.abs(b[:, 0]) ** 2, rtol=1e-14)
     mc, se = float((u**2).mean()), float((u**2).std(ddof=1) / math.sqrt(n))
     check = next(c for c in _oracles(report, None) if c.name == "haar_moment_monte_carlo")
     assert (check.value, check.tolerance) == (mc, 3 * se)
 
 
 def test_sampling_steps_stream_in_bounded_memory(tmp_path):
-    # a full-size sweep holds several (n, 64) float arrays: about 690 MiB here
+    # a full-size sweep holds several (n, 64) float arrays: about 690 MiB here;
+    # the oracle holds a few n-float arrays (6.7 MiB), where n first states took 32 MiB
     report = report_run(tmp_path, 262144, 262144)
-    for step, bound_mib in ((_statistics, 128), (_oracles, 80)):
+    for step, bound_mib in ((_statistics, 128), (_oracles, 10)):
         tracemalloc.start()
         try:
             checks = step(report, None)
@@ -396,6 +401,16 @@ def test_non_finite_parameter_rejected(v, tmp_path, capsys):
     assert run(["construct", "--d", "2", "--v", v, "--out-dir", str(out_dir)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.startswith("error: ")
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+@pytest.mark.parametrize("v", ["*", ")", "/2", "1+*2", pytest.param("(" * 400 + "1", id="deeply-nested")])
+def test_malformed_parameter_rejected(v, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert run(["verify-sic", "--d", "2", f"--v={v}", "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
     assert not out_dir.exists() or not any(out_dir.iterdir())
 
 

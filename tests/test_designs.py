@@ -37,6 +37,22 @@ def test_haar_moment_monte_carlo(rng):
     assert abs(mc - haar_moment(8, 2)) <= 3 * se
 
 
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_one_state_and_two_state_moments_share_a_law(d):
+    # unitary invariance: |<a|b>|^2 for Haar a and b has the law of |<e0|b>|^2,
+    # which the report's oracle draws as d real and d imaginary parts of b
+    n = 100000
+    rng = np.random.default_rng((20240811, d))
+    x = rng.standard_normal((n, 2 * d)) ** 2
+    one_state = (x[:, 0] + x[:, d]) / x.sum(axis=1)
+    a, b = random_pure_state(d, rng, size=n), random_pure_state(d, rng, size=n)
+    two_state = np.abs(np.einsum("ni,ni->n", a.conj(), b)) ** 2
+    for u in (one_state, two_state):
+        for t in (1, 2, 3):
+            mc, se = (u**t).mean(), (u**t).std(ddof=1) / math.sqrt(n)
+            assert abs(mc - haar_moment(d, t)) <= 4 * se, (t, mc, se)
+
+
 def test_frame_potentials_hoggar(hoggar_v):
     s = StateSet.from_family(hoggar_v)
     assert frame_potential(s, 1) == pytest.approx(1 / 8, abs=1e-14)

@@ -38,7 +38,7 @@ def test_parse_complex_literals():
 
 
 def test_parse_complex_rejects_garbage():
-    for bad in ("", "1+", "(1+2i", "1x", "sqrt2", "1+2i)"):
+    for bad in ("", "1+", "(1+2i", "1x", "sqrt2", "1+2i)", "*", ")", "/2", "1+*2", "(" * 400 + "1"):
         with pytest.raises(InvalidArgumentError):
             parse_complex(bad)
 
