@@ -129,12 +129,6 @@ class Measurement:
             return (coeff * amps.conj()) @ self.phi
         return np.einsum("bk,kij,bj->bi", coeff, self.effects, rows)
 
-    def operator(self, w):
-        """The operator ``sum_k w_k E_k``."""
-        if self.phi is not None:
-            return (self.phi.T * w) @ self.phi.conj() / self.d
-        return np.einsum("k,kij->ij", w, self.effects)
-
 
 def outcome_probabilities(state, povm):
     """Probability vector tr(rho Pi_j) for a pure state or a density matrix.

@@ -5,7 +5,10 @@ from multi-restart projected gradient descent on the unit sphere, and the
 informational power from an alternating scheme (discrete-channel capacity
 iteration over a candidate state pool, plus gradient ascent on the retained
 states).  The two searches meet in the certificate inequality
-``I <= ln(k) - min H``.
+``I <= ln(k) - min H``.  For a covariant POVM the orbit of one minimum-entropy
+state attains that bound, so the pool of a family with a displacement group
+(:func:`hoggar.sic.displacements`) is the orbit of the best state of one
+restart batch.
 
 Determinism: every restart owns a private pseudorandom stream derived from
 ``(seed, restart_index)``, so results are reproducible regardless of how the
@@ -22,6 +25,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .infotheory import Ensemble, Measurement, eta, mutual_information
+from .sic import SicFamily, displacements
 
 GRAD_FLOOR = 1e-14
 ARMIJO_C = 1e-4
@@ -29,9 +33,6 @@ ARMIJO_SHRINK = 0.5
 MAX_BACKTRACKS = 60
 DEDUP_DISTANCE = 1e-6
 PRUNE_TOL = 1e-9
-GAP_TARGET = 1e-9
-MAX_BATCHES = 80
-STAGNATION = 12
 MAX_OUTER = 25
 REWEIGHT_MAX_ITERS = 20000
 ASCENT_STEPS = 20
@@ -69,7 +70,9 @@ class SearchResult:
     """Outcome of a search; ``best_state`` for entropy, ``best_ensemble`` for capacity.
 
     ``restart_values`` holds per-restart optima for the entropy search and the
-    per-round capacity values for the ensemble search.  ``converged`` is the
+    per-round capacity values for the ensemble search.  ``iterations_used``
+    counts the descent iterations of the one restart batch both searches
+    share, also when the capacity search reused it.  ``converged`` is the
     flag of the deciding solve (the best restart, or the final capacity
     iteration); ``capped_solves`` counts the capacity search's reweighting
     solves that stopped at ``REWEIGHT_MAX_ITERS`` without converging.  An
@@ -350,42 +353,6 @@ def blahut_arimoto(Q, tol=1e-12, max_iters=100000):
 VALUE_MARGIN = 1e-7
 
 
-def _deficit_spectrum(obj, minimizers):
-    """Eigen-decomposition of sum_j max(1/k - q_j, 0) * E_j for the current pool.
-
-    ``q`` is the outcome distribution of the *uniform* mixture of collected
-    minimizers: against that reference the deficit concentrates exactly on the
-    outcomes only missing minimizers can cover (a capacity-optimal reweighting
-    would smear it out).  A minimum-entropy state whose whole outcome mass
-    sits on under-covered outcomes lives in the top eigenspace of this
-    operator, so random states drawn from that eigenspace steer later restarts
-    toward minimizers the pool is still missing.
-    """
-    p_rows, _ = obj.probabilities(np.vstack(minimizers))
-    q = p_rows.mean(axis=0)
-    deficit = np.maximum(1.0 / obj.k - q, 0.0)
-    if deficit.sum() < 1e-15:
-        return None
-    vals, vecs = np.linalg.eigh(obj.operator(deficit))
-    top = vals >= max(vals[-1] * 0.2, 1e-15)
-    return np.maximum(vals[top], 0.0), vecs[:, top]
-
-
-def _deficit_starts(spectrum, count, d, rng):
-    """Random eigenvalue-weighted states in the deficit eigenspace, plus noise.
-
-    Cubing the normalized eigenvalues concentrates draws near the strongest
-    deficit directions while leaving enough spread to cover a degenerate top
-    eigenspace.
-    """
-    vals, vecs = spectrum
-    weights = (vals / vals.max()) ** 3
-    z = rng.standard_normal((count, len(vals))) + 1j * rng.standard_normal((count, len(vals)))
-    states = (z * np.sqrt(weights)) @ vecs.T
-    states += 1e-3 * (rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d)))
-    return _normalize_rows(states)
-
-
 def _projector(x):
     """Rank-one projector of ``x``, formed as :func:`hoggar.sic.projector_distance` forms it."""
     x = np.asarray(x, dtype=np.complex128)
@@ -402,64 +369,20 @@ def _projector_distances(projectors, proj):
     return np.abs(projectors - proj).max(axis=(1, 2))
 
 
-def _collect_minimizers(obj, cfg, first):
-    """Gather the distinct global entropy minimizers by repeated restart batches.
+def _distinct_minimizers(psi, f, conv):
+    """The converged rows within ``VALUE_MARGIN`` of the batch's best value, one per line.
 
-    Only converged states within ``VALUE_MARGIN`` of the running best value are
-    kept (descent also finds non-global local minima; those are not candidates
-    for a maximally informative ensemble built from minimizers).  Batches
-    continue until the certificate gap against the capacity of the collected
-    pool drops below ``GAP_TARGET``, or ``STAGNATION`` consecutive batches add
-    nothing new, or ``MAX_BATCHES`` is exhausted.  The gap is the honest stop
-    signal: it collapses exactly when the collected minimizers support a
-    capacity-achieving ensemble.  After an unproductive batch, half of the
-    next batch restarts from perturbed coverage-deficit directions instead of
-    fresh Haar draws.  Batch 0 is the entropy search's batch; ``first``, its
-    descent output or None, is used in place of descending it again.
+    Descent also finds non-global local minima; those are not candidates for
+    a maximally informative ensemble built from minimizers.
     """
     minimizers = []
-    projectors = np.empty((0, obj.d, obj.d), dtype=np.complex128)
-    values = []
-    best_value = math.inf
-    total_iters = 0
-    no_new = 0
-    spectrum = None
-    for batch in range(MAX_BATCHES):
-        if batch == 0 and first is not None:
-            psi, f, iters, conv = first
-        else:
-            starts = _restart_states(obj, cfg, batch * cfg.restarts)
-            if spectrum is not None:
-                rng = np.random.default_rng((cfg.seed, 2**40 + batch))
-                directed = starts.shape[0] // 2
-                starts[:directed] = _deficit_starts(spectrum, directed, obj.d, rng)
-            psi, f, iters, conv = _descend(obj, starts)
-        total_iters += int(iters.sum())
-        batch_best = float(f.min())
-        if batch_best < best_value - VALUE_MARGIN:
-            keep = [i for i, val in enumerate(values) if val <= batch_best + VALUE_MARGIN]
-            minimizers = [minimizers[i] for i in keep]
-            projectors = projectors[keep]
-            values = [values[i] for i in keep]
-        best_value = min(best_value, batch_best)
-        added = 0
-        for row in np.flatnonzero(conv & (f <= best_value + VALUE_MARGIN)):
-            proj = _projector(psi[row])
-            if (_projector_distances(projectors, proj) >= DEDUP_DISTANCE).all():
-                minimizers.append(psi[row])
-                projectors = np.concatenate([projectors, proj[None]])
-                values.append(float(f[row]))
-                added += 1
-        no_new = 0 if added else no_new + 1
-        p_rows, _ = obj.probabilities(np.vstack(minimizers))
-        ba = blahut_arimoto(p_rows, tol=1e-10, max_iters=5000)
-        gap = (math.log(obj.k) - best_value) - ba.capacity
-        if gap <= GAP_TARGET or no_new >= STAGNATION:
-            break
-        if len(minimizers) >= 8 * obj.k:
-            break  # minima form a continuum; the pool is already ample
-        spectrum = _deficit_spectrum(obj, minimizers)
-    return minimizers, best_value, total_iters
+    projectors = np.empty((0, psi.shape[1], psi.shape[1]), dtype=np.complex128)
+    for row in np.flatnonzero(conv & (f <= f.min() + VALUE_MARGIN)):
+        proj = _projector(psi[row])
+        if (_projector_distances(projectors, proj) >= DEDUP_DISTANCE).all():
+            minimizers.append(psi[row])
+            projectors = np.concatenate([projectors, proj[None]])
+    return minimizers
 
 
 def _ensemble_info(p_rows, weights):
@@ -513,9 +436,12 @@ def _reweight(obj, pool):
 def capacity_search(povm, cfg=None, entropy=None):
     """Informational-power search: capacity iteration over a pool of pure states.
 
-    The pool starts from the distinct entropy minimizers found by restart
-    batches (run until the certificate gap collapses or the batches stagnate)
-    and 4*d^2 Haar-random states.  Each outer round reweights the pool with
+    The pool comes from one restart batch of the entropy descent.  For a
+    :class:`~hoggar.sic.SicFamily` whose Hadamard matrix has a displacement
+    group (:func:`hoggar.sic.displacements`), it is the orbit of the batch's
+    best state under the d^2 displacements; for any other POVM, the batch's
+    distinct converged minimizers within ``VALUE_MARGIN`` of its best value,
+    plus 4*d^2 Haar-random states.  Each outer round reweights the pool with
     :func:`blahut_arimoto`, prunes negligible weights, and polishes the
     retained states by gradient ascent of the mutual information; a reweighting
     solve that stops at ``REWEIGHT_MAX_ITERS`` unconverged is counted in
@@ -541,11 +467,14 @@ def capacity_search(povm, cfg=None, entropy=None):
     obj = _EntropyObjective(povm)
     d, k = obj.d, obj.k
 
-    minimizers, best_min, total_iters = _collect_minimizers(obj, cfg, first)
-    rng = np.random.default_rng((cfg.seed, 10**9))
-    pool = list(minimizers)
-    pool.extend(random_pure_state(d, rng, size=4 * d * d))
-    pool = np.vstack(pool)
+    psi, f, iters, conv = first if first is not None else _descend(obj, _restart_states(obj, cfg, 0))
+    best_min = float(f.min())
+    group = displacements(povm) if isinstance(povm, SicFamily) else None
+    if group is not None:
+        pool = group[0] @ psi[np.argmin(f)]
+    else:
+        rng = np.random.default_rng((cfg.seed, 10**9))
+        pool = np.vstack(_distinct_minimizers(psi, f, conv) + list(random_pure_state(d, rng, size=4 * d * d)))
 
     history = []
     capped = 0
@@ -587,7 +516,7 @@ def capacity_search(povm, cfg=None, entropy=None):
     return SearchResult(
         best_value=value,
         best_ensemble=ensemble,
-        iterations_used=total_iters,
+        iterations_used=int(iters.sum()),
         converged=bool(ba.converged),
         restart_values=tuple(history),
         upper_bound=float(upper),

@@ -292,23 +292,62 @@ def _is_sylvester_source(fam):
     return np.array_equal(fam.hadamard.signs, sylvester_hadamard(3).signs)
 
 
-def _covariance_deviation_for_label(fam, a, b):
-    op = pauli_operator(PauliLabel.from_ints(a, b))
-    moved = fam.states @ op.T
-    perm = (np.arange(64) // 8 ^ a) * 8 + (np.arange(64) % 8 ^ b)
-    target = fam.states[perm]
-    p_moved = np.einsum("ni,nj->nij", moved, moved.conj())
-    p_target = np.einsum("ni,nj->nij", target, target.conj())
-    return float(np.abs(p_moved - p_target).max())
+def _product_table(g):
+    """``t[b, c]``: the one column of ``g`` equal to columns b and c multiplied entrywise, or None."""
+    hits = np.abs(g[:, :, None, None] * g[:, None, :, None] - g[:, None, None, :]).max(axis=0) <= DEFAULT_TOL
+    return hits.argmax(axis=2) if (hits.sum(axis=2) == 1).all() else None
+
+
+def displacements(fam):
+    """The displacement operators of ``fam``, derived from its Hadamard matrix.
+
+    Returns ``(ops, rows, cols)``: ``ops[a * d + b]`` is the unitary
+    ``D(a, b)``, which maps line ``(j, k)`` of the family to line
+    ``(rows[a, j], cols[b, k])``.  With ``c`` the phases of the matrix's row 0
+    and ``g`` the matrix dephased by ``c`` and then by its column 0, ``cols``
+    and ``rows`` are the product tables of the columns and of the rows of
+    ``g``, and ``D(a, b) = diag(c) diag(g[a]) P_b diag(conj c)`` with
+    ``(P_b x)[cols[b, l]] = x[l]``.  ``g`` is the character table of an
+    abelian group exactly when both tables exist; otherwise the result is
+    None.  Permuted and rephased Sylvester and Fourier matrices are character
+    tables once dephased, and so is every Hadamard matrix at d = 2 and 3 and
+    every real one at d = 8.
+    """
+    m = fam.hadamard.matrix
+    d = fam.d
+    c = m[0] / np.abs(m[0])
+    g = m / c
+    g = g / (g[:, :1] / np.abs(g[:, :1]))
+    cols, rows = _product_table(g), _product_table(g.T)
+    if cols is None or rows is None:
+        return None
+    shifts = np.zeros((d, d, d), dtype=np.complex128)
+    shifts[np.arange(d)[:, None], cols, np.arange(d)[None, :]] = 1.0
+    ops = (c[None, :, None] * g[:, None, :, None]) * shifts[None] * c.conj()
+    return ops.reshape(d * d, d, d), rows, cols
 
 
 def verify_covariance(fam, tol=DEFAULT_TOL):
-    """Check that every Pauli label permutes the 64 projectors by label addition.
+    """Check that every displacement ``D(a, b)`` moves the projectors as its label says.
 
-    Requires the Sylvester source (the action formula is convention dependent).
+    ``D(a, b)`` must map the projector of line ``(j, k)`` onto that of line
+    ``(rows[a, j], cols[b, k])`` (see :func:`displacements`); at d = 8 over
+    the Sylvester matrix the displacements are the three-qubit Pauli
+    operators and the action is label addition.  A family whose Hadamard
+    matrix is not a character table raises :class:`UnsupportedError`.
     Comparisons are projective, so phases never enter.
     """
-    if not _is_sylvester_source(fam):
-        raise UnsupportedError("covariance check requires a d=8 family over the Sylvester matrix")
-    worst = max(_covariance_deviation_for_label(fam, a, b) for a in range(8) for b in range(8))
+    group = displacements(fam)
+    if group is None:
+        raise UnsupportedError("covariance check requires a Hadamard matrix that is a character table")
+    ops, rows, cols = group
+    d = fam.d
+    j, k = np.divmod(np.arange(fam.k), d)
+    p_states = np.einsum("ni,nj->nij", fam.states, fam.states.conj())
+    worst = 0.0
+    for a in range(d):
+        for b in range(d):
+            moved = fam.states @ ops[a * d + b].T
+            p_moved = np.einsum("ni,nj->nij", moved, moved.conj())
+            worst = max(worst, float(np.abs(p_moved - p_states[rows[a, j] * d + cols[b, k]]).max()))
     return CovarianceReport(covariant=worst <= tol, worst_deviation=worst, tolerance=float(tol))

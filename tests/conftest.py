@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from hoggar import conjugate_set, fourier_matrix, hadamard_sic_family, hoggar_family, tetrahedral_family
+from hoggar import (
+    conjugate_set,
+    fourier_matrix,
+    hadamard_sic_family,
+    hoggar_family,
+    sylvester_hadamard,
+    tetrahedral_family,
+)
 
 
 @pytest.fixture(scope="session")
@@ -31,6 +38,15 @@ def fourier3_families():
     h = fourier_matrix(3)
     values = (0j, -2 + 0j, 1 + math.sqrt(3) * 1j, 1 - math.sqrt(3) * 1j)
     return [hadamard_sic_family(h, v) for v in values]
+
+
+@pytest.fixture(scope="session")
+def permuted_sylvester_family():
+    """The d = 8 family over the Sylvester matrix with rows and columns permuted and sign-flipped."""
+    rng = np.random.default_rng(8)
+    signs = sylvester_hadamard(3).signs[rng.permutation(8)][:, rng.permutation(8)]
+    signs = signs * rng.choice([-1, 1], 8)[:, None] * rng.choice([-1, 1], 8)[None, :]
+    return hadamard_sic_family(signs, -1 + 2j)
 
 
 @pytest.fixture()

@@ -448,6 +448,15 @@ HOGGAR = ["--d", "8", "--v=-1+2i"]
 SEARCH = ["--restarts", "8", "--seed", "1"]
 
 
+def test_info_power_d8_at_eight_restarts(tmp_path):
+    # batch 0 holds a global minimizer at this seed, and its orbit under the
+    # displacement group is all 64 twin lines
+    assert run(["info-power", *HOGGAR, *SEARCH, "--out-dir", str(tmp_path)]) == 0
+    result = load_json(tmp_path / "info_power_result.json")
+    assert len(result["best_ensemble"]["weights"]) == 64
+    assert result["certificate_gap"] <= 1e-6
+
+
 @pytest.mark.parametrize(
     "argv, names",
     [

@@ -237,5 +237,3 @@ def test_measurement_representations_agree(family, request, rng):
     pulled_sic = sic.grad_scale * sic.pullback(coeff, rows, amps)
     pulled_stack = stack.grad_scale * stack.pullback(coeff, rows, None)
     assert np.abs(pulled_sic - pulled_stack).max() < 1e-12
-    w = rng.random(fam.k)
-    assert np.abs(sic.operator(w) - stack.operator(w)).max() < 1e-12

@@ -298,8 +298,10 @@ def test_capacity_search_tetrahedral(tetra_v):
 def test_capacity_search_counts_capped_solves(tetra_v, monkeypatch):
     from hoggar import optimize
 
+    # on the family, the orbit pool solves in one iteration; the effect stack
+    # has no group, so its pool of minimizers and Haar states needs more
     monkeypatch.setattr(optimize, "REWEIGHT_MAX_ITERS", 3)
-    result = capacity_search(tetra_v, OptimizerConfig(restarts=16, seed=1))
+    result = capacity_search(np.array(tetra_v.effects), OptimizerConfig(restarts=16, seed=1))
     assert result.capped_solves > 0
 
 
@@ -324,9 +326,22 @@ def test_capacity_seed_determinism(tetra_v):
 
 
 def test_capacity_search_hoggar_other_seed(hoggar_v):
-    # guard the coverage-directed pool completion on a seed other than the
-    # acceptance one (plain coupon collection used to stall a few lines short)
+    # the orbit of batch 0's best state completes the pool on a seed other
+    # than the acceptance one too
     result = capacity_search(hoggar_v, OptimizerConfig(restarts=64, seed=7))
+    assert result.best_value == pytest.approx(2 * math.log(4 / 3), abs=1e-6)
+    assert result.certificate_gap <= 1e-6
+    assert result.best_ensemble.size == 64
+
+
+def test_capacity_search_permuted_sylvester_family(permuted_sylvester_family):
+    # the displacement group is read off the matrix, so a permuted, sign-flipped
+    # Sylvester source gets the full orbit pool like the Sylvester matrix itself
+    fam = permuted_sylvester_family
+    cfg = OptimizerConfig(restarts=64, seed=1)
+    entropy = min_entropy_search(fam, cfg)
+    result = capacity_search(fam, cfg, entropy=entropy)
+    assert entropy.best_value == pytest.approx(math.log(36), abs=1e-8)
     assert result.best_value == pytest.approx(2 * math.log(4 / 3), abs=1e-6)
     assert result.certificate_gap <= 1e-6
     assert result.best_ensemble.size == 64
@@ -365,7 +380,7 @@ def small_family(request, tetra_v, fourier3_families):
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-# 4 restarts take the collection past batch 0; 64, the command-line default, stop there
+# 4 restarts and 64, the command-line default
 @pytest.mark.parametrize("restarts", [4, 64])
 def test_capacity_search_reuses_entropy_batch(small_family, seed, restarts):
     cfg = OptimizerConfig(restarts=restarts, seed=seed)
@@ -389,12 +404,11 @@ def test_capacity_search_with_entropy_descends_once_less(tetra_v, monkeypatch):
     monkeypatch.setattr(optimize, "_descend", lambda *args: calls.append(1) or descend(*args))
     cfg = OptimizerConfig(restarts=4, seed=1)
     capacity_search(tetra_v, cfg)
-    alone = len(calls)
-    assert alone > 1
+    assert len(calls) == 1
     entropy = min_entropy_search(tetra_v, cfg)
-    assert len(calls) == alone + 1
+    assert len(calls) == 2
     capacity_search(tetra_v, cfg, entropy=entropy)
-    assert len(calls) == 2 * alone
+    assert len(calls) == 2
 
 
 def test_capacity_search_refuses_a_foreign_entropy_result(tetra_v):

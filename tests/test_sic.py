@@ -10,6 +10,7 @@ from hoggar import (
     UnsupportedError,
     all_overlap_tables,
     conjugate_set,
+    fourier_matrix,
     hadamard_sic_family,
     overlap_table,
     pauli_operator,
@@ -19,6 +20,7 @@ from hoggar import (
     verify_sic,
 )
 from hoggar.algebra import HadamardMatrix
+from hoggar.sic import displacements
 
 SQRT3 = math.sqrt(3.0)
 
@@ -221,9 +223,67 @@ def test_covariance_composition(hoggar_v):
         assert projector_distance(op_h @ (op_g @ psi), op_sum @ psi) < 1e-12
 
 
-def test_covariance_requires_sylvester(tetra_v):
-    with pytest.raises(UnsupportedError):
-        verify_covariance(tetra_v)
+def _permuted_rephased_fourier3():
+    rng = np.random.default_rng(3)
+    matrix = fourier_matrix(3).matrix[rng.permutation(3)][:, rng.permutation(3)]
+    return matrix * np.exp(2j * np.pi * rng.random(3))[:, None] * np.exp(2j * np.pi * rng.random(3))[None, :]
+
+
+@pytest.fixture(
+    params=[f"d2-{i}" for i in range(8)] + [f"d3-{i}" for i in range(4)]
+    + ["d8-v", "d8-vbar", "d8-permuted-sylvester", "d3-permuted-fourier"]
+)
+def group_family(request, permuted_sylvester_family):
+    name = request.param
+    if name == "d8-permuted-sylvester":
+        return permuted_sylvester_family
+    if name == "d3-permuted-fourier":
+        return hadamard_sic_family(_permuted_rephased_fourier3(), 1 + SQRT3 * 1j)
+    d, i = name[1], name[3:]
+    if d == "8":
+        return hadamard_sic_family(sylvester_hadamard(3), -1 + 2j if i == "v" else -1 - 2j)
+    source = sylvester_hadamard(1) if d == "2" else fourier_matrix(3)
+    return hadamard_sic_family(source, ADMISSIBLE_V[int(d)][int(i)])
+
+
+def test_displacements_permute_the_lines(group_family):
+    fam = group_family
+    d = fam.d
+    ops, rows, cols = displacements(fam)
+    assert ops.shape == (d * d, d, d)
+    for table in (rows, cols):
+        assert (np.sort(table, axis=1) == np.arange(d)).all()
+    for a in range(d):
+        for b in range(d):
+            op = ops[a * d + b]
+            assert np.abs(op @ op.conj().T - np.eye(d)).max() < 1e-12
+            for j in range(d):
+                for k in range(d):
+                    moved = op @ fam.states[fam.flat_index(j, k)]
+                    target = fam.states[fam.flat_index(rows[a, j], cols[b, k])]
+                    assert projector_distance(moved, target) < 1e-12
+    report = verify_covariance(fam)
+    assert report.covariant and report.worst_deviation < 1e-12
+
+
+def test_displacements_are_the_pauli_operators_over_sylvester(hoggar_v):
+    ops, rows, cols = displacements(hoggar_v)
+    for a in range(8):
+        for b in range(8):
+            assert np.array_equal(ops[a * 8 + b], pauli_operator((a, b)))
+    labels = np.arange(8)
+    assert np.array_equal(rows, labels[:, None] ^ labels) and np.array_equal(cols, rows)
+
+
+def test_covariance_requires_a_character_table():
+    # a d = 4 Hadamard matrix from a one-parameter family off the group points:
+    # its columns are not closed under entrywise multiplication
+    z = np.exp(0.4j)
+    matrix = np.array([[1, 1, 1, 1], [1, 1j * z, -1, -1j * z], [1, -1, 1, -1], [1, -1j * z, -1, 1j * z]])
+    fam = hadamard_sic_family(matrix, 0)
+    assert displacements(fam) is None
+    with pytest.raises(UnsupportedError, match="character table"):
+        verify_covariance(fam)
 
 
 def test_identity_resolution_invariant(hoggar_v, hoggar_vbar):
