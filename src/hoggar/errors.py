@@ -14,7 +14,7 @@ class UnsupportedError(HoggarError):
 
 
 class InvalidPovmError(InvalidArgumentError):
-    """A set of effects does not resolve the identity within tolerance."""
+    """Effects that do not resolve the identity or are not Hermitian positive semidefinite."""
 
 
 class NotADesignError(HoggarError):

@@ -87,47 +87,65 @@ def as_effects(povm):
 
 
 class Measurement:
-    """A validated POVM in the representation its evaluations run on.
+    """A validated POVM as a weighted rank-one frame.
 
-    This class is the one place that tells the two representations apart.  A
-    :class:`~hoggar.sic.SicFamily` keeps its d^2 unit vectors ``phi`` and
-    evaluates rank-one products ``|<phi_k|psi>|^2 / d``; any other POVM is a
-    ``(k, d, d)`` effect stack evaluated by einsum, with ``phi`` None.  Both
-    paths stay because each serves a workload (the SIC families of the
-    certifier, and generic effect stacks in the library), and one factored
-    frame for both would change the effect-stack arithmetic and so its
-    results in the last bits.  ``effects`` is always the stack.
+    Effect k is the sum of ``f_r f_r^dagger / scale`` over the rows f_r of
+    ``frame`` (R, d) that the 0/1 grouping ``group`` (R, k) assigns to it, so
+    every evaluation is the overlap product ``rows.conj() @ frame.T``.  A
+    :class:`~hoggar.sic.SicFamily` is its own d^2 unit vectors with scale d;
+    any other ``(k, d, d)`` stack is checked Hermitian positive semidefinite
+    and factored once by ``eigh`` into rows ``sqrt(lam) v`` (eigenvalues above
+    1e-12 of the largest) with scale 1.  ``group`` is None when every outcome
+    has one row.  ``effects`` is the stack; density matrices are measured on it.
     """
 
     def __init__(self, povm):
         self.effects = as_effects(povm)
-        self.phi = povm.states if isinstance(povm, SicFamily) else None
         self.k, self.d = self.effects.shape[:2]
-        # the SIC pullback leaves out the 1/d of its effects
-        self.grad_scale = 2.0 / self.d if self.phi is not None else 2.0
+        if isinstance(povm, SicFamily):
+            # rank one and positive by construction: no factorization to do
+            self.frame, self.scale, self.group = povm.states, self.d, None
+        else:
+            self.frame, self.group = _factor(self.effects)
+            self.scale = 1.0
+        # the pullback leaves out the 1/scale of the effects
+        self.grad_scale = 2.0 / self.scale
+
+    def _grouped(self, p):
+        return p if self.group is None else p @ self.group
 
     def probabilities(self, rows):
-        """Outcome probabilities (b, k) of the pure states ``rows`` (b, d), and the SIC amplitudes."""
-        if self.phi is not None:
-            amps = rows.conj() @ self.phi.T
-            return (np.abs(amps) ** 2) / self.d, amps
-        p = np.einsum("bi,kij,bj->bk", rows.conj(), self.effects, rows).real
-        return np.maximum(p, 0.0), None
+        """Outcome probabilities (b, k) of the pure states ``rows`` (b, d), and the frame amplitudes."""
+        amps = rows.conj() @ self.frame.T
+        return self._grouped((np.abs(amps) ** 2) / self.scale), amps
 
     def pure(self, psi):
-        """Outcome probabilities of one pure state, unclamped."""
-        if self.phi is not None:
-            return (np.abs(self.phi.conj() @ psi) ** 2) / self.d
-        return np.einsum("i,kij,j->k", psi.conj(), self.effects, psi).real
+        """Outcome probabilities of one pure state."""
+        return self._grouped((np.abs(self.frame.conj() @ psi) ** 2) / self.scale)
 
-    def pullback(self, coeff, rows, amps):
+    def pullback(self, coeff, amps):
         """Rows of ``sum_k coeff_bk E_k psi_b``, to be multiplied by ``grad_scale / 2``.
 
-        ``amps`` are the amplitudes :meth:`probabilities` returned for ``rows``.
+        ``amps`` are the amplitudes :meth:`probabilities` returned for the rows ``psi_b``.
         """
-        if self.phi is not None:
-            return (coeff * amps.conj()) @ self.phi
-        return np.einsum("bk,kij,bj->bi", coeff, self.effects, rows)
+        if self.group is not None:
+            coeff = coeff @ self.group.T
+        return (coeff * amps.conj()) @ self.frame
+
+
+def _factor(effects):
+    """Frame rows and grouping of a ``(k, d, d)`` stack that must be Hermitian and positive semidefinite."""
+    skew = float(np.abs(effects - effects.conj().transpose(0, 2, 1)).max())
+    if skew > POVM_IDENTITY_TOL:
+        raise InvalidPovmError(f"effects deviate from Hermitian by {skew:.3e}")
+    lam, vecs = np.linalg.eigh(effects)
+    if -lam.min() > POVM_IDENTITY_TOL:
+        raise InvalidPovmError(f"effects have an eigenvalue {lam.min():.3e} below zero")
+    keep = lam > 1e-12 * lam.max()
+    frame = np.sqrt(lam[keep])[:, None] * vecs.transpose(0, 2, 1)[keep]
+    rows_per_outcome = keep.sum(axis=1)
+    group = None if (rows_per_outcome == 1).all() else np.repeat(np.eye(len(keep)), rows_per_outcome, axis=0)
+    return frame, group
 
 
 def outcome_probabilities(state, povm):
@@ -241,7 +259,7 @@ class JointTable:
 
 
 def joint_table(ensemble, povm):
-    m = Measurement(as_effects(povm))
+    m = povm if isinstance(povm, Measurement) else Measurement(povm)
     rows = []
     for w, s in zip(ensemble.weights, ensemble.states):
         rows.append(w * outcome_probabilities(s, m))
@@ -266,7 +284,7 @@ def holevo_quantity(ensemble, povm):
     probabilities, so the von Neumann entropies reduce to Shannon entropies.
     Equals :func:`mutual_information` identically; kept as a separate route.
     """
-    m = Measurement(as_effects(povm))
+    m = povm if isinstance(povm, Measurement) else Measurement(povm)
     dists = [outcome_probabilities(s, m) for s in ensemble.states]
     mixture = np.zeros_like(dists[0])
     avg_conditional = 0.0

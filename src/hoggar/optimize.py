@@ -158,7 +158,7 @@ class _EntropyObjective(Measurement):
     def value_and_grad(self, psi_rows):
         p, amps = self.probabilities(psi_rows)
         slope = -(np.log(np.maximum(p, GRAD_FLOOR)) + 1.0)  # eta'(p), regularized at 0
-        ambient = self.grad_scale * self.pullback(slope, psi_rows, amps)
+        ambient = self.grad_scale * self.pullback(slope, amps)
         coeff = np.einsum("bi,bi->b", psi_rows.conj(), ambient)
         tangent = ambient - coeff[:, None] * psi_rows
         gnorm_sq = np.einsum("bi,bi->b", tangent, tangent.conj()).real
@@ -400,7 +400,7 @@ def _ascend_states(obj, pool, weights):
     for _ in range(ASCENT_STEPS):
         q = weights @ p
         rel = np.log(np.maximum(p, GRAD_FLOOR)) - np.log(np.maximum(q, GRAD_FLOOR))[None, :]
-        ambient = (obj.grad_scale * weights[:, None]) * obj.pullback(rel, psi, amps)
+        ambient = (obj.grad_scale * weights[:, None]) * obj.pullback(rel, amps)
         coeff = np.einsum("bi,bi->b", psi.conj(), ambient)
         tangent = ambient - coeff[:, None] * psi
         g2 = float(np.einsum("bi,bi->", tangent, tangent.conj()).real)
@@ -511,7 +511,7 @@ def capacity_search(povm, cfg=None, entropy=None):
     weights = np.array(merged_weights)
     ensemble = Ensemble(weights=weights / weights.sum(), states=tuple(merged_states))
 
-    value = mutual_information(ensemble, povm)
+    value = mutual_information(ensemble, obj)
     upper = math.log(k) - best_min
     return SearchResult(
         best_value=value,

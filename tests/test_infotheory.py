@@ -8,11 +8,14 @@ from hoggar import (
     Ensemble,
     InvalidArgumentError,
     InvalidPovmError,
+    OptimizerConfig,
     OutcomeDistribution,
     UnsupportedError,
+    entropy_gradient,
     holevo_quantity,
     ht_minimizer,
     index_of_coincidence,
+    min_entropy_search,
     mutual_information,
     outcome_distribution,
     outcome_matrix,
@@ -24,6 +27,8 @@ from hoggar import (
     twin_ensemble,
     uniform_ensemble,
 )
+from hoggar.infotheory import Measurement
+from hoggar.optimize import GRAD_FLOOR
 
 
 def test_maximally_mixed_is_uniform(hoggar_v):
@@ -218,22 +223,83 @@ def test_ensemble_validation(rng):
             Ensemble(weights=np.array([bad, 1.0]), states=(np.array([1.0, 0]), np.array([0, 1.0])))
 
 
+def _einsum_probabilities(effects, rows):
+    return np.einsum("bi,kij,bj->bk", rows.conj(), effects, rows).real
+
+
+def _einsum_pullback(effects, coeff, rows):
+    return np.einsum("bk,kij,bj->bi", coeff, effects, rows)
+
+
+def _check_against_einsum(m, effects, rng):
+    """Every evaluation of ``m`` agrees with the einsum formulas on ``effects`` within 1e-12."""
+    d = effects.shape[1]
+    rows = random_pure_state(d, rng, size=16)
+    p, amps = m.probabilities(rows)
+    assert np.abs(p - _einsum_probabilities(effects, rows)).max() < 1e-12
+    for psi in rows:
+        assert np.abs(m.pure(psi) - _einsum_probabilities(effects, psi[None])[0]).max() < 1e-12
+    coeff = rng.standard_normal((16, effects.shape[0]))
+    pulled = (m.grad_scale / 2) * m.pullback(coeff, amps)
+    assert np.abs(pulled - _einsum_pullback(effects, coeff, rows)).max() < 1e-12
+
+
 @pytest.mark.parametrize("family", ["hoggar_v", "tetra_v", "fourier3_families"])
 def test_measurement_representations_agree(family, request, rng):
-    from hoggar.infotheory import Measurement
-
     fam = request.getfixturevalue(family)
     if family == "fourier3_families":
         fam = fam[2]  # v = 1 + sqrt3 i
-    sic, stack = Measurement(fam), Measurement(np.array(fam.effects))
-    assert sic.phi is not None and stack.phi is None
-    rows = random_pure_state(fam.d, rng, size=16)
-    p_sic, amps = sic.probabilities(rows)
-    p_stack, _ = stack.probabilities(rows)
-    assert np.abs(p_sic - p_stack).max() < 1e-12
-    for psi in rows:
-        assert np.abs(sic.pure(psi) - stack.pure(psi)).max() < 1e-12
-    coeff = rng.standard_normal((16, fam.k))
-    pulled_sic = sic.grad_scale * sic.pullback(coeff, rows, amps)
-    pulled_stack = stack.grad_scale * stack.pullback(coeff, rows, None)
-    assert np.abs(pulled_sic - pulled_stack).max() < 1e-12
+    effects = np.array(fam.effects)
+    sic = Measurement(fam)
+    assert sic.frame is fam.states
+    for m in (sic, Measurement(effects)):
+        assert m.frame.shape == (fam.k, fam.d)
+        _check_against_einsum(m, effects, rng)
+
+
+def _rank_two_stack():
+    u = np.eye(4)
+    a = 0.5 * np.outer(u[0], u[0]) + 0.25 * np.outer(u[1], u[1])
+    return np.array([a, np.eye(4) - a], dtype=np.complex128), [2, 4]
+
+
+def _coarse_d3_sic(families):
+    effects = np.array(families[2].effects)  # v = 1 + sqrt3 i
+    merged = [effects[i] + effects[i + 1] for i in range(0, 8, 2)] + [effects[8]]
+    return np.array(merged), [2, 2, 2, 2, 1]
+
+
+@pytest.mark.parametrize("stack", ["rank_two", "coarse_d3_sic"])
+def test_higher_rank_stacks_match_einsum(stack, fourier3_families, rng):
+    effects, rows_per_effect = _rank_two_stack() if stack == "rank_two" else _coarse_d3_sic(fourier3_families)
+    m = Measurement(effects)
+    assert m.group.sum(axis=0).tolist() == rows_per_effect
+    _check_against_einsum(m, effects, rng)
+    d = effects.shape[1]
+    psi = random_pure_state(d, rng)
+    rho = 0.5 * np.outer(psi, psi.conj()) + 0.5 * np.eye(d) / d
+    expected = np.einsum("kij,ji->k", effects, rho).real
+    assert np.abs(outcome_distribution(rho, effects).probs - expected).max() < 1e-12
+    p = _einsum_probabilities(effects, psi[None])[0]
+    ambient = 2 * np.einsum("k,kij,j->i", -(np.log(np.maximum(p, GRAD_FLOOR)) + 1.0), effects, psi)
+    tangent = ambient - np.vdot(psi, ambient) * psi
+    assert np.abs(entropy_gradient(psi, effects) - tangent).max() < 1e-12
+
+
+NOT_PSD = [np.diag([1.5, 0.5]), np.diag([-0.5, 0.5])]
+NOT_HERMITIAN = [[[1, 1], [0, 0]], [[0, -1], [0, 1]]]
+
+
+@pytest.mark.parametrize(
+    "effects, message",
+    [(NOT_PSD, r"eigenvalue -5\.000e-01 below zero"), (NOT_HERMITIAN, r"from Hermitian by 1\.000e\+00")],
+    ids=["not_psd", "not_hermitian"],
+)
+def test_invalid_effect_stacks_are_refused(effects, message):
+    effects = np.array(effects, dtype=np.complex128)
+    with pytest.raises(InvalidPovmError, match=message):
+        Measurement(effects)
+    with pytest.raises(InvalidPovmError, match=message):
+        outcome_matrix(np.eye(2), effects)
+    with pytest.raises(InvalidPovmError, match=message):
+        min_entropy_search(effects, OptimizerConfig(restarts=4, seed=1))

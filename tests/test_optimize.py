@@ -111,6 +111,15 @@ def test_min_entropy_hoggar(hoggar_v, hoggar_vbar):
     assert best_dist < 1e-6
 
 
+def test_min_entropy_effect_stack_matches_family(hoggar_v):
+    # the stack is factored into its own frame; only the last bits may differ
+    cfg = OptimizerConfig(restarts=64, seed=1)
+    family = min_entropy_search(hoggar_v, cfg)
+    stack = min_entropy_search(np.array(hoggar_v.effects), cfg)
+    assert abs(stack.best_value - family.best_value) < 1e-13
+    assert np.abs(np.subtract(stack.restart_values, family.restart_values)).max() < 1e-10
+
+
 def test_min_entropy_minimizer_recovery(hoggar_v, hoggar_vbar):
     # every restart that attained the global minimum is a twin with the
     # 28-zero / 1-36 outcome pattern
