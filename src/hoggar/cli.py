@@ -16,6 +16,7 @@ manifest fields are in nats; ``--bits`` converts displayed values only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -446,10 +447,14 @@ def _oracles(run, tol):
     checks = [near("bsc_capacity", ba.capacity, bsc, 1e-9)]
     # Haar moment by unitary invariance: |<a|b>|^2 has the law of |<e0|b>|^2, so draw b alone
     rng = np.random.default_rng((seed, 2**33))
-    squares = (rng.standard_normal((r.stop - r.start, 2 * fam.d)) ** 2 for r in row_blocks(mc_samples))
-    u = np.concatenate([(x[:, 0] + x[:, fam.d]) / x.sum(axis=1) for x in squares])
-    mc = float((u**2).mean())
-    se = float((u**2).std(ddof=1) / math.sqrt(mc_samples))
+    u = np.empty(mc_samples)
+    for rows in row_blocks(mc_samples):
+        x = rng.standard_normal((rows.stop - rows.start, 2 * fam.d))
+        np.square(x, out=x)
+        np.divide(x[:, 0] + x[:, fam.d], x.sum(axis=1), out=u[rows])
+    np.square(u, out=u)  # the samples of |<e0|b>|^4
+    mc = float(u.mean())
+    se = float(u.std(ddof=1) / math.sqrt(mc_samples))
     checks.append(near("haar_moment_monte_carlo", mc, haar_moment(fam.d, 2), 3 * se))
     # analytic gradient against central finite differences
     worst = 0.0
@@ -576,7 +581,14 @@ COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser():
+    """The parser of every subcommand, built once per process.
+
+    Every default is immutable and each ``parse_args`` returns a fresh
+    namespace, so one parser serves every :func:`run`; callers must not
+    change it.
+    """
     parser = argparse.ArgumentParser(
         prog="hoggar",
         description="Construct SIC-POVMs from Hadamard matrices and certify their entropy, "

@@ -21,16 +21,19 @@ POVM_IDENTITY_TOL = 1e-8
 
 
 def eta(p):
-    """Elementwise -p*ln(p) with eta(0) = 0."""
+    """Elementwise -p*ln(p) with eta(0) = 0; a NaN or -inf entry gives NaN.
+
+    One guarded log over the whole array: finite entries p <= 0 take ln(1) = 0,
+    so they give +0.  Every other entry is exactly -(p*ln(p)), and p = 1 gives +0.
+    """
     p = np.asarray(p, dtype=np.float64)
-    out = np.zeros_like(p)
-    mask = p > 0
-    out[mask] = -p[mask] * np.log(p[mask])
-    return out
+    return 0.0 - p * np.log(np.where(p > 0, p, 1.0))
 
 
 def _clamp_probs(p):
     p = np.asarray(p, dtype=np.float64)
+    if not np.isfinite(p).all():
+        raise InvalidArgumentError("probabilities must be finite")
     if p.min() < -NEGATIVE_CLAMP:
         raise InvalidArgumentError(f"probability {p.min():.3e} below the clamp window")
     return np.where(p < 0, 0.0, p)
@@ -79,6 +82,8 @@ def as_effects(povm):
         effects = np.asarray(povm, dtype=np.complex128)
         if effects.ndim != 3 or effects.shape[1] != effects.shape[2]:
             raise InvalidArgumentError(f"POVM must be a (k, d, d) stack, got shape {effects.shape}")
+        if not np.isfinite(effects).all():
+            raise InvalidPovmError("effects must be finite")
     d = effects.shape[1]
     dev = float(np.abs(effects.sum(axis=0) - np.eye(d)).max())
     if dev > POVM_IDENTITY_TOL:
@@ -200,6 +205,8 @@ class Ensemble:
         frozen = []
         for s in self.states:
             s = np.asarray(s, dtype=np.complex128).copy()
+            if not np.isfinite(s).all():
+                raise InvalidArgumentError("states must be finite")
             if s.ndim == 1:
                 if abs(np.linalg.norm(s) - 1.0) > 1e-10:
                     raise InvalidArgumentError("pure state is not normalized")

@@ -44,7 +44,7 @@ STEP_INIT = 0.1
 GRAD_TOL = 1e-9
 VALUE_TOL = 1e-13
 # rows per block when Haar states are drawn and evaluated as a stream
-ROW_BLOCK = 8192
+ROW_BLOCK = 4096
 
 
 def _is_integer(x):
@@ -97,7 +97,7 @@ class SearchResult:
 def row_blocks(n):
     """Consecutive slices covering ``range(n)`` in order, each of at most ``ROW_BLOCK`` rows.
 
-    A lone last row joins the block before it (8193 rows give 8191 + 2):
+    A lone last row joins the block before it (8193 rows give 4096 + 4095 + 2):
     a one-row outcome product runs through a matrix-vector kernel, whose last
     bits can differ from the same row of a matrix product.
     """
@@ -168,6 +168,8 @@ class _EntropyObjective(Measurement):
 def entropy_gradient(psi, povm):
     """Riemannian gradient of psi -> H(|psi><psi|, povm) at a unit vector."""
     psi = np.asarray(psi, dtype=np.complex128)
+    if not np.isfinite(psi).all():
+        raise InvalidArgumentError("state must be finite")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise InvalidArgumentError("state must be a unit vector")
     obj = _EntropyObjective(povm)
@@ -306,6 +308,8 @@ def blahut_arimoto(Q, tol=1e-12, max_iters=100000):
     Q = np.asarray(Q, dtype=np.float64)
     if Q.ndim != 2 or Q.shape[0] < 1:
         raise InvalidArgumentError("channel matrix must be 2-dimensional")
+    if not np.isfinite(Q).all():
+        raise InvalidArgumentError("channel matrix must be finite")
     if Q.min() < -1e-14:
         raise InvalidArgumentError("channel matrix has negative entries")
     Q = np.maximum(Q, 0.0)

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hoggar import optimize
 from hoggar.cli import Run, _oracles, _statistics, build_parser, run
 from hoggar.infotheory import eta, outcome_matrix
 from hoggar.optimize import row_blocks
@@ -262,7 +263,7 @@ def report_run(tmp_path, samples, mc_samples):
 
 
 def test_sampling_checks_match_full_arrays(tmp_path, one_shot_haar):
-    # 8193 rows stream as blocks of 8191 and 2 rows
+    # 8193 rows stream as blocks of 4096, 4095 and 2 rows
     n, d = 8193, 8
     report = report_run(tmp_path, n, n)
     states = one_shot_haar(d, np.random.default_rng((1, 2**32)), size=n)
@@ -283,11 +284,22 @@ def test_sampling_checks_match_full_arrays(tmp_path, one_shot_haar):
     assert (check.value, check.tolerance) == (mc, 3 * se)
 
 
+def test_sampling_checks_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
+    values = []
+    for block in (8192, 4096):
+        monkeypatch.setattr(optimize, "ROW_BLOCK", block)
+        report = report_run(tmp_path, 20001, 20001)
+        values.append(_statistics(report, None) + _oracles(report, None))
+    assert values[0] == values[1]
+
+
 def test_sampling_steps_stream_in_bounded_memory(tmp_path):
     # a full-size sweep holds several (n, 64) float arrays: about 690 MiB here;
-    # the oracle holds a few n-float arrays (6.7 MiB), where n first states took 32 MiB
+    # streamed, it keeps the (n, 8) real parts and two n-float results (about
+    # 29 MiB).  The oracle keeps one n-float array and a temporary of its
+    # standard deviation (about 4.5 MiB), where n first states took 32 MiB
     report = report_run(tmp_path, 262144, 262144)
-    for step, bound_mib in ((_statistics, 128), (_oracles, 10)):
+    for step, bound_mib in ((_statistics, 40), (_oracles, 10)):
         tracemalloc.start()
         try:
             checks = step(report, None)

@@ -27,7 +27,7 @@ from hoggar import (
     twin_ensemble,
     uniform_ensemble,
 )
-from hoggar.infotheory import Measurement
+from hoggar.infotheory import Measurement, as_effects, eta
 from hoggar.optimize import GRAD_FLOOR
 
 
@@ -221,6 +221,56 @@ def test_ensemble_validation(rng):
     for bad in (np.nan, np.inf):
         with pytest.raises(InvalidArgumentError):
             Ensemble(weights=np.array([bad, 1.0]), states=(np.array([1.0, 0]), np.array([0, 1.0])))
+
+
+NAN_STATE = np.array([np.nan, 0.0])
+NAN_STACK = [[[np.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: OutcomeDistribution.from_probs([np.nan, 1.0]), InvalidArgumentError, "probabilities must be finite"),
+        (lambda: Ensemble(weights=[1.0], states=(NAN_STATE,)), InvalidArgumentError, "states must be finite"),
+        (
+            lambda: mutual_information(uniform_ensemble([NAN_STATE]), [np.eye(2)]),
+            InvalidArgumentError, "states must be finite",
+        ),
+        (lambda: as_effects(NAN_STACK), InvalidPovmError, "effects must be finite"),
+        (lambda: Measurement(NAN_STACK), InvalidPovmError, "effects must be finite"),
+    ],
+    ids=["from_probs", "ensemble", "mutual_information", "as_effects", "measurement"],
+)
+def test_non_finite_inputs_are_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def _masked_eta(p):
+    """eta as a masked gather and scatter: -p*ln(p) where p > 0, and +0 elsewhere (NaN included)."""
+    p = np.asarray(p, dtype=np.float64)
+    out = np.zeros_like(p)
+    mask = p > 0
+    out[mask] = -p[mask] * np.log(p[mask])
+    return out
+
+
+def test_eta_matches_masked_formula(rng):
+    tiny = np.finfo(np.float64).tiny
+    edges = np.array([
+        0.0, -0.0, -1e-14, -1e-300, -5e-324, 5e-324, tiny / 3, tiny,
+        1e-300, 1e-14, 0.5, 1 - 2**-53, 1 + 2**-52, np.inf,
+    ])
+    uniform = rng.random((4096, 64))
+    spread = np.exp(-745 * rng.random((4096, 64)))  # down to the subnormals and 0
+    spread[::3, ::5] = rng.uniform(-1e-14, 0.0, size=spread[::3, ::5].shape)
+    for p in (edges, uniform, spread):
+        assert np.array_equal(eta(p).view(np.int64), _masked_eta(p).view(np.int64))
+    # the differences: eta(1) is +0 where the masked product gives -0, and NaN and -inf give NaN, not 0
+    assert eta([1.0]).view(np.int64)[0] == 0
+    assert _masked_eta([1.0]).view(np.int64)[0] == np.array(-0.0).view(np.int64)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(eta([np.nan, -np.inf])).all()
 
 
 def _einsum_probabilities(effects, rows):

@@ -33,7 +33,8 @@ def test_random_pure_state_determinism():
 
 
 @pytest.mark.parametrize(
-    "n", [0, 1, 2, 3, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1, 10**6]
+    # counts at the block edges, and fixed counts that span several blocks
+    "n", [0, 1, 2, 3, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1, 8191, 8192, 16385, 10**6]
 )
 def test_row_blocks_cover_rows_without_lone_tail(n):
     blocks = row_blocks(n)
@@ -181,6 +182,19 @@ def test_blahut_arimoto_bsc():
     closed_form = math.log(2) - float(eta([flip, 1 - flip]).sum())
     assert result.capacity == pytest.approx(closed_form, abs=1e-9)
     assert result.converged
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: blahut_arimoto([[np.nan, 1.0], [0.5, 0.5]]), "channel matrix must be finite"),
+        (lambda: entropy_gradient([np.nan, 0.0], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]), "state must be finite"),
+    ],
+    ids=["blahut_arimoto", "entropy_gradient"],
+)
+def test_non_finite_optimizer_inputs_are_refused(call, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        call()
 
 
 def test_blahut_arimoto_grid_oracle(rng):
