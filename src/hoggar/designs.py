@@ -2,22 +2,26 @@
 
 Frame potentials use the full double sum over ordered pairs including the
 diagonal, matching the reference moment ``t! (d-1)! / (t+d-1)!`` of the
-unitarily invariant measure.  The zero-block machinery works on the 64-point
-group Z_2^3 x Z_2^3 with points flattened as ``iota*8 + kappa`` (MSB-first),
-so group addition is bitwise XOR of flat indices.  All design parameters are
+unitarily invariant measure.  The zero-block machinery labels the 64 lines
+flat, ``iota*8 + kappa``, and adds labels by the family's own displacement
+group (:func:`hoggar.sic.displacements`).  All design parameters are
 measured from the data, never assumed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import int_to_bits
 from .errors import InvalidArgumentError, NotADesignError
-from .sic import _check_twin_pair, _is_sylvester_source
+from .sic import _check_twin_pair, displacements
+
+# the group law of the flat labels over the Sylvester matrix: Z_2^6 as XOR
+_SYLVESTER_LAW = np.bitwise_xor.outer(np.arange(64), np.arange(64))
+_SYLVESTER_LAW.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -78,10 +82,14 @@ def is_t_design(state_set, t, tol=1e-12):
 
 @dataclass(frozen=True)
 class ZeroBlockDesign:
-    """64 zero blocks indexed by flat (mu, nu); members are flat (iota, kappa) points."""
+    """64 zero blocks indexed by flat (mu, nu); members are flat (iota, kappa) points.
+
+    ``law[b, p]`` is point ``p`` translated by ``b`` in the displacement group (not serialized).
+    """
 
     blocks: tuple[tuple[int, ...], ...]
     params: tuple[int, int, int]
+    law: np.ndarray = field(repr=False, compare=False)
 
     @property
     def point_count(self):
@@ -116,14 +124,18 @@ class ZeroBlockDesign:
 def zero_blocks(fam_v, fam_vbar, threshold=1e-10):
     """Extract the zero blocks of the twin overlap tables and measure (v, k, lambda).
 
+    Its ``law[b, p]`` is ``rows[b // 8, p // 8] * 8 + cols[b % 8, p % 8]`` over the
+    tables of :func:`~hoggar.sic.displacements`.
+
     Raises :class:`NotADesignError` when block sizes or pairwise intersections
     are not constant, carrying the first offending pair.
     """
     _check_twin_pair(fam_v, fam_vbar)
-    if fam_v.d != 8 or not _is_sylvester_source(fam_v):
-        raise InvalidArgumentError("zero blocks are defined for d=8 twins over the Sylvester matrix")
+    if fam_v.d != 8 or not fam_v.hadamard.is_real:
+        raise InvalidArgumentError("zero blocks are defined for d=8 twins over a real Hadamard matrix")
     tables = np.abs(fam_vbar.raw.conj() @ fam_v.raw.T)  # row b = |inner| against target b
-    blocks = tuple(tuple(int(p) for p in np.flatnonzero(tables[b] < threshold)) for b in range(64))
+    inc = (tables < threshold).astype(np.int64)
+    blocks = tuple(tuple(int(p) for p in np.flatnonzero(row)) for row in inc)
 
     sizes = {len(b) for b in blocks}
     if len(sizes) != 1:
@@ -135,9 +147,6 @@ def zero_blocks(fam_v, fam_vbar, threshold=1e-10):
         )
     k_blk = sizes.pop()
 
-    inc = np.zeros((64, 64), dtype=np.int64)
-    for b, members in enumerate(blocks):
-        inc[b, list(members)] = 1
     meet = inc @ inc.T
     off = ~np.eye(64, dtype=bool)
     lam_values = np.unique(meet[off])
@@ -147,7 +156,10 @@ def zero_blocks(fam_v, fam_vbar, threshold=1e-10):
             f"block intersections are not constant ({sorted(lam_values.tolist())})",
             offending=(int(bad[0]), int(bad[1])),
         )
-    return ZeroBlockDesign(blocks=blocks, params=(64, int(k_blk), int(lam_values[0])))
+    _, rows, cols = displacements(fam_v)
+    law = (rows[:, None, :, None] * 8 + cols[None, :, None, :]).reshape(64, 64)
+    law.setflags(write=False)
+    return ZeroBlockDesign(blocks=blocks, params=(64, int(k_blk), int(lam_values[0])), law=law)
 
 
 @dataclass(frozen=True)
@@ -231,20 +243,18 @@ class DifferenceSetReport:
     max_count: int
 
 
-def difference_set_check(members):
-    """Count ordered pairs (x, y) in B x B with x + y = delta for every nonzero delta.
+def difference_set_check(members, law=_SYLVESTER_LAW):
+    """Count ordered pairs (x, y) in B x B with ``law[x, y] = delta`` for every nonzero delta.
 
-    The group is elementary abelian of order 64 (addition = XOR of flat
-    indices), so differences coincide with sums.  Passes iff |B| = 28 and
-    every one of the 63 nonzero deltas is hit exactly 12 times.
+    ``law`` is a design's point-addition table (:attr:`ZeroBlockDesign.law`);
+    the default is the Sylvester labelling's.  The group is elementary
+    abelian of order 64, so differences coincide with sums.  Passes iff
+    |B| = 28 and every one of the 63 nonzero deltas is hit exactly 12 times.
     """
     members = sorted(set(int(p) for p in members))
     if any(p < 0 or p > 63 for p in members):
         raise InvalidArgumentError("points must be flat indices in 0..63")
-    counts = np.zeros(64, dtype=np.int64)
-    for x in members:
-        for y in members:
-            counts[x ^ y] += 1
+    counts = np.bincount(law[np.ix_(members, members)].ravel(), minlength=64)
     nonzero = counts[1:]
     passed = len(members) == 28 and (nonzero == 12).all()
     return DifferenceSetReport(
@@ -256,9 +266,6 @@ def difference_set_check(members):
 
 
 def block_translation_check(design):
-    """Whether each block equals the (mu, nu)-translate of the (0, 0) block."""
-    base = set(design.blocks[0])
-    return all(
-        set(design.blocks[label]) == {p ^ label for p in base}
-        for label in range(len(design.blocks))
-    )
+    """Whether each block equals the (mu, nu)-translate of the (0, 0) block under ``design.law``."""
+    translates = design.law[:, list(design.blocks[0])]
+    return all(set(block) == set(translates[b].tolist()) for b, block in enumerate(design.blocks))

@@ -41,22 +41,25 @@ def _clamp_probs(p):
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """A length-k probability vector with a count of numerically zero entries."""
+    """A finite length-k probability vector summing to 1; entries in [-1e-14, 0) are clamped to 0."""
 
     probs: np.ndarray
-    zero_count: int
 
     def __post_init__(self):
-        a = np.asarray(self.probs, dtype=np.float64).copy()
+        a = _clamp_probs(self.probs)
+        if abs(a.sum() - 1.0) > 1e-12:
+            raise InvalidArgumentError(f"probabilities sum to {float(a.sum())}, not 1")
         a.setflags(write=False)
         object.__setattr__(self, "probs", a)
 
     @classmethod
     def from_probs(cls, probs):
-        probs = _clamp_probs(probs)
-        if abs(probs.sum() - 1.0) > 1e-12:
-            raise InvalidArgumentError(f"probabilities sum to {float(probs.sum())}, not 1")
-        return cls(probs=probs, zero_count=int((probs < ZERO_THRESHOLD).sum()))
+        return cls(probs=probs)
+
+    @property
+    def zero_count(self):
+        """The number of numerically zero entries (below ``ZERO_THRESHOLD``)."""
+        return int((self.probs < ZERO_THRESHOLD).sum())
 
 
 def shannon_entropy(p):
@@ -255,6 +258,8 @@ class JointTable:
 
     def __post_init__(self):
         a = np.asarray(self.table, dtype=np.float64).copy()
+        if not (np.isfinite(a).all() and (a >= 0).all()):
+            raise InvalidArgumentError("joint table entries must be finite and nonnegative")
         a.setflags(write=False)
         object.__setattr__(self, "table", a)
 

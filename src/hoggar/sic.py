@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, HadamardMatrix, int_to_bits, sylvester_hadamard
+from .algebra import DEFAULT_TOL, HadamardMatrix, dephase, int_to_bits, sylvester_hadamard
 from .errors import InvalidArgumentError, UnsupportedError
 
 _SQRT3 = math.sqrt(3.0)
@@ -286,12 +286,6 @@ class CovarianceReport:
     tolerance: float
 
 
-def _is_sylvester_source(fam):
-    if fam.d != 8 or not fam.hadamard.is_real:
-        return False
-    return np.array_equal(fam.hadamard.signs, sylvester_hadamard(3).signs)
-
-
 def _product_table(g):
     """``t[b, c]``: the one column of ``g`` equal to columns b and c multiplied entrywise, or None."""
     hits = np.abs(g[:, :, None, None] * g[:, None, :, None] - g[:, None, None, :]).max(axis=0) <= DEFAULT_TOL
@@ -304,9 +298,9 @@ def displacements(fam):
     Returns ``(ops, rows, cols)``: ``ops[a * d + b]`` is the unitary
     ``D(a, b)``, which maps line ``(j, k)`` of the family to line
     ``(rows[a, j], cols[b, k])``.  With ``c`` the phases of the matrix's row 0
-    and ``g`` the matrix dephased by ``c`` and then by its column 0, ``cols``
-    and ``rows`` are the product tables of the columns and of the rows of
-    ``g``, and ``D(a, b) = diag(c) diag(g[a]) P_b diag(conj c)`` with
+    and ``g`` the matrix's :func:`~hoggar.algebra.dephase`, ``cols`` and
+    ``rows`` are the product tables of the columns and of the rows of ``g``,
+    and ``D(a, b) = diag(c) diag(g[a]) P_b diag(conj c)`` with
     ``(P_b x)[cols[b, l]] = x[l]``.  ``g`` is the character table of an
     abelian group exactly when both tables exist; otherwise the result is
     None.  Permuted and rephased Sylvester and Fourier matrices are character
@@ -316,8 +310,7 @@ def displacements(fam):
     m = fam.hadamard.matrix
     d = fam.d
     c = m[0] / np.abs(m[0])
-    g = m / c
-    g = g / (g[:, :1] / np.abs(g[:, :1]))
+    g = dephase(fam.hadamard).matrix
     cols, rows = _product_table(g), _product_table(g.T)
     if cols is None or rows is None:
         return None

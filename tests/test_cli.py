@@ -284,6 +284,25 @@ def test_sampling_checks_match_full_arrays(tmp_path, one_shot_haar):
     assert (check.value, check.tolerance) == (mc, 3 * se)
 
 
+def test_statistics_carry_a_nan_through_the_running_reductions(tmp_path, monkeypatch):
+    from hoggar import cli
+
+    report = report_run(tmp_path, 8193, 2)
+    blocks = []
+
+    def poisoned(states, fam):
+        probs = outcome_matrix(states, fam)
+        blocks.append(probs)
+        if len(blocks) == 2:
+            probs[0, 0] = np.nan
+        return probs
+
+    monkeypatch.setattr(cli, "outcome_matrix", poisoned)
+    checks = _statistics(report, None)
+    assert len(blocks) == 3
+    assert not any(c.passed for c in checks) and all(math.isnan(c.value) for c in checks)
+
+
 def test_sampling_checks_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
     values = []
     for block in (8192, 4096):
@@ -295,11 +314,11 @@ def test_sampling_checks_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
 
 def test_sampling_steps_stream_in_bounded_memory(tmp_path):
     # a full-size sweep holds several (n, 64) float arrays: about 690 MiB here;
-    # streamed, it keeps the (n, 8) real parts and two n-float results (about
-    # 29 MiB).  The oracle keeps one n-float array and a temporary of its
-    # standard deviation (about 4.5 MiB), where n first states took 32 MiB
+    # streamed, it keeps the (n, 8) real parts and running reductions (about
+    # 25 MiB).  The oracle keeps one n-float array and forms its standard
+    # error in place (about 3 MiB), where n first states took 32 MiB
     report = report_run(tmp_path, 262144, 262144)
-    for step, bound_mib in ((_statistics, 40), (_oracles, 10)):
+    for step, bound_mib in ((_statistics, 40), (_oracles, 4)):
         tracemalloc.start()
         try:
             checks = step(report, None)
@@ -455,9 +474,36 @@ CAPACITY_CHECKS = [
 DESIGN_CHECKS = [
     "frame_potential_t1_matches_moment", "frame_potential_t2_matches_moment", "frame_potential_t3_exceeds_moment",
 ]
+ZERO_DESIGN_CHECKS = [
+    "design_parameters", "symmetric_design_axioms", "difference_set_development",
+    "block_translation", "membership_criterion_sign",
+]
 BLOCH_CHECKS = ["symmetric_subspace_dimension", "regular_simplex_family", "regular_simplex_twin", "transpose_reflection"]
 HOGGAR = ["--d", "8", "--v=-1+2i"]
 SEARCH = ["--restarts", "8", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["zero-design"], id="zero-design"),
+        pytest.param(
+            ["report", "--restarts", "64", "--seed", "1", "--samples", "2000", "--mc-samples", "20000"], id="report"
+        ),
+    ],
+)
+def test_zero_design_on_a_permuted_sylvester_family(argv, permuted_sylvester_family, tmp_path):
+    # rows and columns permuted and sign-flipped: the design is read off the
+    # family's own displacement group, not off the Sylvester labelling
+    from hoggar.serialize import save_family
+
+    family = tmp_path / "family.json"
+    save_family(permuted_sylvester_family, family)
+    assert run(argv + ["--family", str(family), "--out-dir", str(tmp_path)]) == 0
+    checks = {c["name"]: c for c in load_json(tmp_path / f"{argv[0].replace('-', '_')}_manifest.json")["checks"]}
+    assert checks["design_parameters"]["value"] == 28
+    assert all(checks[name]["pass"] for name in ZERO_DESIGN_CHECKS)
+    assert load_json(tmp_path / "zero_design.json")["params"] == [64, 28, 12]
 
 
 def test_info_power_d8_at_eight_restarts(tmp_path):
@@ -486,14 +532,7 @@ def test_info_power_d8_at_eight_restarts(tmp_path):
         pytest.param(["certify", *TETRA, *SEARCH], SIC_CHECKS + MIN_ENTROPY_CHECKS + CAPACITY_CHECKS, id="certify"),
         pytest.param(["mutual-info", *TETRA], MUTUAL_INFO_CHECKS, id="mutual-info"),
         pytest.param(["design-check", *TETRA], DESIGN_CHECKS, id="design-check"),
-        pytest.param(
-            ["zero-design", *HOGGAR],
-            [
-                "design_parameters", "symmetric_design_axioms", "difference_set_development",
-                "block_translation", "membership_criterion_sign",
-            ],
-            id="zero-design",
-        ),
+        pytest.param(["zero-design", *HOGGAR], ZERO_DESIGN_CHECKS, id="zero-design"),
         pytest.param(["bloch", *TETRA], BLOCH_CHECKS, id="bloch"),
         pytest.param(
             ["report", *TETRA, *SEARCH, "--samples", "2000", "--mc-samples", "20000"],

@@ -9,6 +9,8 @@ from hoggar import (
     StateSet,
     ZeroBlockDesign,
     block_translation_check,
+    conjugate_set,
+    dephase,
     difference_set_check,
     frame_potential,
     haar_moment,
@@ -76,16 +78,28 @@ def test_welch_lower_bound_random_sets(rng):
             assert frame_potential(s, t) >= haar_moment(8, t) - 1e-12
 
 
-def test_zero_blocks_basic(hoggar_v, hoggar_vbar):
-    design = zero_blocks(hoggar_v, hoggar_vbar)
-    assert design.params == (64, 28, 12)
-    assert all(len(b) == 28 for b in design.blocks)
-    # B_00 is exactly the -1 pattern of the Sylvester matrix
-    signs = hoggar_v.hadamard.signs
-    expected = {i * 8 + k for i in range(8) for k in range(8) if signs[i, k] == -1}
-    assert set(design.blocks[0]) == expected
-    # block (mu, nu) never contains the point (mu, nu)
-    assert all(label not in design.blocks[label] for label in range(64))
+@pytest.fixture(scope="module")
+def real_d8_designs(hoggar_v, permuted_sylvester_family):
+    """The zero blocks over the Sylvester matrix and over a permuted, sign-flipped one, with their families."""
+    return [(fam, zero_blocks(fam, conjugate_set(fam))) for fam in (hoggar_v, permuted_sylvester_family)]
+
+
+def test_zero_blocks_basic(real_d8_designs):
+    for fam, design in real_d8_designs:
+        assert design.params == (64, 28, 12)
+        assert all(len(b) == 28 for b in design.blocks)
+        # B_00 is exactly the -1 pattern of the dephased matrix (over Sylvester, the matrix itself)
+        signs = dephase(fam.hadamard).signs
+        expected = {i * 8 + k for i in range(8) for k in range(8) if signs[i, k] == -1}
+        assert set(design.blocks[0]) == expected
+        # block (mu, nu) never contains the point (mu, nu)
+        assert all(label not in design.blocks[label] for label in range(64))
+
+
+def test_zero_block_law_over_sylvester_is_xor(hoggar_v, hoggar_vbar):
+    # so the one-argument difference_set_check, whose default law is XOR, uses the Sylvester design's own law
+    law = zero_blocks(hoggar_v, hoggar_vbar).law
+    assert np.array_equal(law, np.arange(64)[:, None] ^ np.arange(64)[None, :])
 
 
 def test_zero_blocks_threshold_stability(hoggar_v, hoggar_vbar):
@@ -99,15 +113,11 @@ def test_zero_blocks_rejects_wrong_dimension(tetra_v, tetra_vbar):
         zero_blocks(tetra_v, tetra_vbar)
 
 
-def test_membership_criterion_equivalence(hoggar_v, hoggar_vbar):
-    design = zero_blocks(hoggar_v, hoggar_vbar)
-    signs = hoggar_v.hadamard.signs
-    for label, members in enumerate(design.blocks):
-        mu, nu = label // 8, label % 8
-        expected = {
-            i * 8 + k for i in range(8) for k in range(8) if signs[mu ^ i, nu ^ k] == -1
-        }
-        assert set(members) == expected
+def test_membership_criterion_equivalence(real_d8_designs):
+    for fam, design in real_d8_designs:
+        signs = dephase(fam.hadamard).signs.ravel()
+        for label, members in enumerate(design.blocks):
+            assert set(members) == {p for p in range(64) if signs[design.law[label, p]] == -1}
 
 
 def test_verify_symmetric_design(hoggar_v, hoggar_vbar):
@@ -124,7 +134,7 @@ def test_verify_symmetric_design_mutation(hoggar_v, hoggar_vbar):
     design = zero_blocks(hoggar_v, hoggar_vbar)
     blocks = [list(b) for b in design.blocks]
     blocks[5] = blocks[5][:-1]  # delete one point from one block
-    mutated = ZeroBlockDesign(blocks=tuple(tuple(b) for b in blocks), params=design.params)
+    mutated = ZeroBlockDesign(blocks=tuple(tuple(b) for b in blocks), params=design.params, law=design.law)
     report = verify_symmetric_design(mutated)
     assert not report.passed
     assert "size" in report.counterexample
@@ -141,11 +151,11 @@ def test_zero_blocks_not_a_design_error():
     assert excinfo.value.offending is not None
 
 
-def test_difference_set_development(hoggar_v, hoggar_vbar):
-    design = zero_blocks(hoggar_v, hoggar_vbar)
-    report = difference_set_check(design.blocks[0])
-    assert report.passed
-    assert report.min_count == report.max_count == 12
+def test_difference_set_development(real_d8_designs):
+    for _, design in real_d8_designs:
+        report = difference_set_check(design.blocks[0], design.law)
+        assert report.passed
+        assert report.min_count == report.max_count == 12
 
 
 def test_difference_set_degenerate_cases():
@@ -155,13 +165,13 @@ def test_difference_set_degenerate_cases():
     assert not full.passed and full.max_count == 64
 
 
-def test_block_translation(hoggar_v, hoggar_vbar):
-    design = zero_blocks(hoggar_v, hoggar_vbar)
-    assert block_translation_check(design)
-    shuffled = ZeroBlockDesign(
-        blocks=tuple(design.blocks[(i + 1) % 64] for i in range(64)), params=design.params
-    )
-    assert not block_translation_check(shuffled)
+def test_block_translation(real_d8_designs):
+    for _, design in real_d8_designs:
+        assert block_translation_check(design)
+        shuffled = ZeroBlockDesign(
+            blocks=tuple(design.blocks[(i + 1) % 64] for i in range(64)), params=design.params, law=design.law
+        )
+        assert not block_translation_check(shuffled)
 
 
 def test_point_and_block_regularity_agree(hoggar_v, hoggar_vbar):

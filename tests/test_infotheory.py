@@ -8,6 +8,7 @@ from hoggar import (
     Ensemble,
     InvalidArgumentError,
     InvalidPovmError,
+    JointTable,
     OptimizerConfig,
     OutcomeDistribution,
     UnsupportedError,
@@ -207,6 +208,12 @@ def test_distribution_clamps_and_validates():
     assert (dist.probs >= 0).all()
     with pytest.raises(InvalidArgumentError):
         OutcomeDistribution.from_probs(np.array([0.5, 0.4]))
+    # the constructor itself validates, and the zero count follows the probabilities
+    with pytest.raises(InvalidArgumentError, match="sum to 0.9"):
+        OutcomeDistribution(np.array([0.5, 0.4]))
+    assert OutcomeDistribution(np.array([0.5, 0.5, 0.0])).zero_count == 1
+    with pytest.raises(InvalidArgumentError, match="finite and nonnegative"):
+        JointTable(table=[[1.5, -0.5]])
 
 
 def test_ensemble_validation(rng):
@@ -231,6 +238,8 @@ NAN_STACK = [[[np.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]
     "call, error, message",
     [
         (lambda: OutcomeDistribution.from_probs([np.nan, 1.0]), InvalidArgumentError, "probabilities must be finite"),
+        (lambda: OutcomeDistribution([np.nan, 2.0]), InvalidArgumentError, "probabilities must be finite"),
+        (lambda: JointTable([[np.nan]]), InvalidArgumentError, "joint table entries must be finite and nonnegative"),
         (lambda: Ensemble(weights=[1.0], states=(NAN_STATE,)), InvalidArgumentError, "states must be finite"),
         (
             lambda: mutual_information(uniform_ensemble([NAN_STATE]), [np.eye(2)]),
@@ -239,7 +248,10 @@ NAN_STACK = [[[np.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]
         (lambda: as_effects(NAN_STACK), InvalidPovmError, "effects must be finite"),
         (lambda: Measurement(NAN_STACK), InvalidPovmError, "effects must be finite"),
     ],
-    ids=["from_probs", "ensemble", "mutual_information", "as_effects", "measurement"],
+    ids=[
+        "from_probs", "outcome_distribution", "joint_table", "ensemble", "mutual_information", "as_effects",
+        "measurement",
+    ],
 )
 def test_non_finite_inputs_are_refused(call, error, message):
     with pytest.raises(error, match=message):
