@@ -20,14 +20,18 @@ NEGATIVE_CLAMP = 1e-14
 POVM_IDENTITY_TOL = 1e-8
 
 
-def eta(p):
+def eta(p, out=None):
     """Elementwise -p*ln(p) with eta(0) = 0; a NaN or -inf entry gives NaN.
 
     One guarded log over the whole array: finite entries p <= 0 take ln(1) = 0,
     so they give +0.  Every other entry is exactly -(p*ln(p)), and p = 1 gives +0.
+    ``out``, a float64 array of p's shape, receives the result in place of new
+    arrays; the operations, and so the bits, are the same.
     """
     p = np.asarray(p, dtype=np.float64)
-    return 0.0 - p * np.log(np.where(p > 0, p, 1.0))
+    t = np.log(np.where(p > 0, p, 1.0), out=out)
+    t = np.multiply(p, t, out=out)
+    return np.subtract(0.0, t, out=out)
 
 
 def _clamp_probs(p):
@@ -125,7 +129,10 @@ class Measurement:
     def probabilities(self, rows):
         """Outcome probabilities (b, k) of the pure states ``rows`` (b, d), and the frame amplitudes."""
         amps = rows.conj() @ self.frame.T
-        return self._grouped((np.abs(amps) ** 2) / self.scale), amps
+        p = np.abs(amps)
+        np.square(p, out=p)
+        p /= self.scale
+        return self._grouped(p), amps
 
     def pure(self, psi):
         """Outcome probabilities of one pure state."""

@@ -17,6 +17,7 @@ batch is scheduled.
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -44,7 +45,7 @@ STEP_INIT = 0.1
 GRAD_TOL = 1e-9
 VALUE_TOL = 1e-13
 # rows per block when Haar states are drawn and evaluated as a stream
-ROW_BLOCK = 4096
+ROW_BLOCK = 1024
 
 
 def _is_integer(x):
@@ -97,9 +98,10 @@ class SearchResult:
 def row_blocks(n):
     """Consecutive slices covering ``range(n)`` in order, each of at most ``ROW_BLOCK`` rows.
 
-    A lone last row joins the block before it (8193 rows give 4096 + 4095 + 2):
-    a one-row outcome product runs through a matrix-vector kernel, whose last
-    bits can differ from the same row of a matrix product.
+    A lone last row joins the block before it (8193 rows give seven blocks of
+    1024, then 1023 + 2): a one-row outcome product runs through a
+    matrix-vector kernel, whose last bits can differ from the same row of a
+    matrix product.
     """
     starts = list(range(0, n, ROW_BLOCK))
     if n > 1 and n % ROW_BLOCK == 1:
@@ -107,29 +109,39 @@ def row_blocks(n):
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
+def _normalize_rows(x):
+    return x / np.linalg.norm(x, axis=1)[:, None]
+
+
 def haar_blocks(d, rng, n):
     """Yield ``(rows, states)``: n Haar-uniform unit vectors, one :func:`row_blocks` slice at a time.
 
-    The generator values and their order are those of the one-shot
-    ``standard_normal((n, d)) + 1j * standard_normal((n, d))``: all real parts
-    first, held in one ``(n, d)`` float buffer, then the imaginary parts one
-    block at a time.  Each row is normalized on its own, so every yielded row
-    is bit for bit the same row of the one-shot draw.
+    Every row is bit for bit that row of the one-shot, row-normalized
+    ``standard_normal((n, d)) + 1j * standard_normal((n, d))``, in memory that
+    does not grow with n: a copy of ``rng`` discards the n * d real parts
+    (ziggurat normals take a variable number of bits, so no skip-ahead can),
+    then draws each block's imaginary parts while ``rng`` draws its real parts.
+    With the last block ``rng`` takes the copy's state, the one-shot final state.
     """
-    real = rng.standard_normal((n, d))
-    for rows in row_blocks(n):
-        z = real[rows] + 1j * rng.standard_normal((rows.stop - rows.start, d))
-        z /= np.linalg.norm(z, axis=1)[:, None]
+    imag = copy.deepcopy(rng)
+    blocks = row_blocks(n)
+    discard = np.empty((min(n, ROW_BLOCK), d))
+    for rows in blocks:
+        imag.standard_normal(out=discard[: rows.stop - rows.start])
+    for rows in blocks:
+        shape = (rows.stop - rows.start, d)
+        z = _normalize_rows(rng.standard_normal(shape) + 1j * imag.standard_normal(shape))
+        if rows.stop == n:
+            rng.bit_generator.state = imag.bit_generator.state
         yield rows, z
 
 
 def random_pure_state(d, rng, size=None):
     """Haar-uniform unit vector(s): normalized i.i.d. standard complex Gaussians.
 
-    Collects the blocks of :func:`haar_blocks`, so the result and the
-    generator's state after the draw equal those of drawing all ``(size, d)``
-    real parts and then all imaginary parts at once; callers that need only
-    one block at a time should iterate :func:`haar_blocks` themselves.
+    One ``standard_normal((2, size, d))`` call draws all real parts and then
+    all imaginary parts, so the rows and the final generator state are those
+    of :func:`haar_blocks`, which streams the same draw in bounded memory.
     """
     if d < 2:
         raise InvalidArgumentError("dimension must be >= 2")
@@ -137,15 +149,9 @@ def random_pure_state(d, rng, size=None):
         raise InvalidArgumentError(f"size must be a non-negative integer, got {size}")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    n = 1 if size is None else int(size)
-    z = np.empty((n, d), dtype=np.complex128)
-    for rows, states in haar_blocks(d, rng, n):
-        z[rows] = states
+    x = rng.standard_normal((2, 1 if size is None else int(size), d))
+    z = _normalize_rows(x[0] + 1j * x[1])
     return z[0] if size is None else z
-
-
-def _normalize_rows(x):
-    return x / np.linalg.norm(x, axis=1)[:, None]
 
 
 class _EntropyObjective(Measurement):

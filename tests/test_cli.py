@@ -263,7 +263,7 @@ def report_run(tmp_path, samples, mc_samples):
 
 
 def test_sampling_checks_match_full_arrays(tmp_path, one_shot_haar):
-    # 8193 rows stream as blocks of 4096, 4095 and 2 rows
+    # 8193 rows stream as seven blocks of 1024 rows, then 1023 and 2 rows
     n, d = 8193, 8
     report = report_run(tmp_path, n, n)
     states = one_shot_haar(d, np.random.default_rng((1, 2**32)), size=n)
@@ -299,34 +299,46 @@ def test_statistics_carry_a_nan_through_the_running_reductions(tmp_path, monkeyp
 
     monkeypatch.setattr(cli, "outcome_matrix", poisoned)
     checks = _statistics(report, None)
-    assert len(blocks) == 3
+    assert len(blocks) == len(row_blocks(8193))
     assert not any(c.passed for c in checks) and all(math.isnan(c.value) for c in checks)
 
 
 def test_sampling_checks_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
     values = []
-    for block in (8192, 4096):
+    # 20001 rows leave a lone last row at 1000 rows a block
+    for block in (8192, 4096, 1024, 1000):
         monkeypatch.setattr(optimize, "ROW_BLOCK", block)
         report = report_run(tmp_path, 20001, 20001)
         values.append(_statistics(report, None) + _oracles(report, None))
-    assert values[0] == values[1]
+    assert all(v == values[0] for v in values[1:])
+
+
+def traced_peak(step, report):
+    """The checks of one report step, and the peak of memory it traced."""
+    tracemalloc.start()
+    try:
+        checks = step(report, None)
+        return checks, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_sampling_steps_stream_in_bounded_memory(tmp_path):
     # a full-size sweep holds several (n, 64) float arrays: about 690 MiB here;
-    # streamed, it keeps the (n, 8) real parts and running reductions (about
-    # 25 MiB).  The oracle keeps one n-float array and forms its standard
-    # error in place (about 3 MiB), where n first states took 32 MiB
+    # streamed, it keeps one block of states, amplitudes, probabilities and
+    # scratch and running reductions (about 3 MiB at any n).  The oracle keeps
+    # one n-float array and forms its standard error in place (about 3 MiB),
+    # where n first states took 32 MiB
     report = report_run(tmp_path, 262144, 262144)
-    for step, bound_mib in ((_statistics, 40), (_oracles, 4)):
-        tracemalloc.start()
-        try:
-            checks = step(report, None)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    peaks = {}
+    for step, bound_mib in ((_statistics, 4), (_oracles, 4)):
+        checks, peaks[step] = traced_peak(step, report)
         assert all(c.passed for c in checks)
-        assert peak <= bound_mib * 2**20, f"{step.__name__} peaked at {peak / 2**20:.1f} MiB"
+        assert peaks[step] <= bound_mib * 2**20, f"{step.__name__} peaked at {peaks[step] / 2**20:.1f} MiB"
+    checks, small = traced_peak(_statistics, report_run(tmp_path, 65536, 2))
+    assert all(c.passed for c in checks)
+    growth = peaks[_statistics] - small
+    assert abs(growth) < 2**19, f"_statistics grew by {growth / 2**20:.2f} MiB from 65536 to 262144 samples"
 
 
 @pytest.mark.parametrize(

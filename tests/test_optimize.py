@@ -17,7 +17,7 @@ from hoggar import (
     shannon_entropy,
 )
 from hoggar.infotheory import eta
-from hoggar.optimize import ROW_BLOCK, row_blocks
+from hoggar.optimize import ROW_BLOCK, haar_blocks, row_blocks
 
 
 def entropy_of(psi, fam):
@@ -34,7 +34,9 @@ def test_random_pure_state_determinism():
 
 @pytest.mark.parametrize(
     # counts at the block edges, and fixed counts that span several blocks
-    "n", [0, 1, 2, 3, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1, 8191, 8192, 16385, 10**6]
+    "n",
+    [0, 1, 2, 3, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1]
+    + [4095, 4096, 4097, 8191, 8192, 8193, 16385, 10**6],
 )
 def test_row_blocks_cover_rows_without_lone_tail(n):
     blocks = row_blocks(n)
@@ -52,6 +54,23 @@ def test_random_pure_state_matches_one_shot_draw(d, size, one_shot_haar):
     streamed = random_pure_state(d, streamed_rng, size=size)
     expected = one_shot_haar(d, one_shot_rng, size=size)
     assert streamed.shape == expected.shape
+    assert np.array_equal(streamed.view(np.float64), expected.view(np.float64))
+    assert streamed_rng.bit_generator.state == one_shot_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("d", [2, 8])
+@pytest.mark.parametrize("n", [0, 1, 2, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 1])
+def test_haar_blocks_stream_the_one_shot_draw(d, n, one_shot_haar):
+    streamed_rng, one_shot_rng = np.random.default_rng((6, d)), np.random.default_rng((6, d))
+    expected = one_shot_haar(d, one_shot_rng, size=n)
+    streamed = np.empty((n, d), dtype=np.complex128)
+    blocks = []
+    for rows, states in haar_blocks(d, streamed_rng, n):
+        blocks.append(rows)
+        streamed[rows] = states
+        # the generator is left as the one-shot draw leaves it once the last block is out
+        assert (streamed_rng.bit_generator.state == one_shot_rng.bit_generator.state) == (rows.stop == n)
+    assert blocks == row_blocks(n)
     assert np.array_equal(streamed.view(np.float64), expected.view(np.float64))
     assert streamed_rng.bit_generator.state == one_shot_rng.bit_generator.state
 
