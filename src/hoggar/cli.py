@@ -417,11 +417,9 @@ def _statistics(run, tol):
     low, high, ic_dev = math.inf, -math.inf, 0.0
     for _, states in haar_blocks(d, rng, run.args.samples):
         probs = outcome_matrix(states, fam)
-        # p * p and then eta(p) share one (b, k) scratch: a block holds two outcome arrays
-        scratch = np.multiply(probs, probs)
-        ic_dev = np.maximum(ic_dev, np.abs(scratch.sum(axis=1) - ic_expected).max())
-        entropies = eta(probs, out=scratch).sum(axis=1)
+        entropies = eta(probs).sum(axis=1)
         low, high = np.minimum(low, entropies.min()), np.maximum(high, entropies.max())
+        ic_dev = np.maximum(ic_dev, np.abs((probs * probs).sum(axis=1) - ic_expected).max())
     return [
         Check("pure_state_entropy_floor", float(low) >= floor - 1e-9, float(low), floor, 1e-9),
         Check("pure_state_entropy_ceiling", float(high) <= ceiling + 1e-9, float(high), ceiling, 1e-9),

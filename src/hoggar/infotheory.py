@@ -20,18 +20,19 @@ NEGATIVE_CLAMP = 1e-14
 POVM_IDENTITY_TOL = 1e-8
 
 
-def eta(p, out=None):
+def eta(p):
     """Elementwise -p*ln(p) with eta(0) = 0; a NaN or -inf entry gives NaN.
 
     One guarded log over the whole array: finite entries p <= 0 take ln(1) = 0,
     so they give +0.  Every other entry is exactly -(p*ln(p)), and p = 1 gives +0.
-    ``out``, a float64 array of p's shape, receives the result in place of new
-    arrays; the operations, and so the bits, are the same.
+    The log, product and negation run in place on the guarded copy of p; a
+    scalar p gives a scalar.
     """
     p = np.asarray(p, dtype=np.float64)
-    t = np.log(np.where(p > 0, p, 1.0), out=out)
-    t = np.multiply(p, t, out=out)
-    return np.subtract(0.0, t, out=out)
+    t = np.where(p > 0, p, 1.0)
+    np.log(t, out=t)
+    np.multiply(p, t, out=t)
+    return np.subtract(0.0, t, out=t)[()]
 
 
 def _clamp_probs(p):

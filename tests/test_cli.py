@@ -325,10 +325,12 @@ def traced_peak(step, report):
 
 def test_sampling_steps_stream_in_bounded_memory(tmp_path):
     # a full-size sweep holds several (n, 64) float arrays: about 690 MiB here;
-    # streamed, it keeps one block of states, amplitudes, probabilities and
-    # scratch and running reductions (about 3 MiB at any n).  The oracle keeps
-    # one n-float array and forms its standard error in place (about 3 MiB),
-    # where n first states took 32 MiB
+    # streamed, it keeps one block of states, amplitudes, probabilities, eta's
+    # guarded copy and running reductions (about 2 MiB at any n).  The oracle
+    # keeps one n-float array and forms its standard error in place (about
+    # 3 MiB), where n first states took 32 MiB.  An untraced first call leaves
+    # both traced _statistics peaks at the process's steady state
+    _statistics(report_run(tmp_path, 2048, 2), None)
     report = report_run(tmp_path, 262144, 262144)
     peaks = {}
     for step, bound_mib in ((_statistics, 4), (_oracles, 4)):
