@@ -39,6 +39,7 @@ from .designs import (
 )
 from .errors import HoggarError, InvalidArgumentError
 from .infotheory import (
+    Measurement,
     holevo_quantity,
     mutual_information,
     outcome_distribution,
@@ -415,8 +416,9 @@ def _statistics(run, tol):
     ic_expected = 2.0 / (d * (d + 1))
     # running reductions over the blocks; np.minimum and np.maximum carry a NaN through
     low, high, ic_dev = math.inf, -math.inf, 0.0
+    measurement = Measurement(fam)
     for _, states in haar_blocks(d, rng, run.args.samples):
-        probs = outcome_matrix(states, fam)
+        probs = measurement.probabilities(states)[0]
         entropies = eta(probs).sum(axis=1)
         low, high = np.minimum(low, entropies.min()), np.maximum(high, entropies.max())
         ic_dev = np.maximum(ic_dev, np.abs((probs * probs).sum(axis=1) - ic_expected).max())

@@ -22,6 +22,8 @@ from .sic import _check_twin_pair, displacements
 # the group law of the flat labels over the Sylvester matrix: Z_2^6 as XOR
 _SYLVESTER_LAW = np.bitwise_xor.outer(np.arange(64), np.arange(64))
 _SYLVESTER_LAW.setflags(write=False)
+# the three bits of each coordinate of a flat label (iota, kappa) or (mu, nu)
+_BITS = tuple(int_to_bits(x, 3) for x in range(8))
 
 
 @dataclass(frozen=True)
@@ -109,12 +111,9 @@ class ZeroBlockDesign:
             "params": list(self.params),
             "blocks": [
                 {
-                    "mu": list(int_to_bits(b >> 3, 3)),
-                    "nu": list(int_to_bits(b & 7, 3)),
-                    "members": [
-                        [list(int_to_bits(p >> 3, 3)), list(int_to_bits(p & 7, 3))]
-                        for p in members
-                    ],
+                    "mu": list(_BITS[b >> 3]),
+                    "nu": list(_BITS[b & 7]),
+                    "members": [[list(_BITS[p >> 3]), list(_BITS[p & 7])] for p in members],
                 }
                 for b, members in enumerate(self.blocks)
             ],

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -7,7 +8,7 @@ import pytest
 
 from hoggar import optimize
 from hoggar.cli import Run, _oracles, _statistics, build_parser, run
-from hoggar.infotheory import eta, outcome_matrix
+from hoggar.infotheory import Measurement, eta, outcome_matrix
 from hoggar.optimize import row_blocks
 from hoggar.serialize import dumps, load_json
 
@@ -41,6 +42,22 @@ def test_construct_deterministic_bytes(tmp_path):
     assert run(["construct", "--d", "2", "--v", "(1+sqrt3)(1+i)/2", "--out", str(fam_a), "--out-dir", str(tmp_path)]) == 0
     assert run(["construct", "--d", "2", "--v", "(1+sqrt3)(1+i)/2", "--out", str(fam_b), "--out-dir", str(tmp_path)]) == 0
     assert read(fam_a) == read(fam_b)
+
+
+# These artifacts hold only exact integers, so their bytes are the same on every
+# platform; the digests pin the file format across versions of the code.
+PINNED_SHA256 = {
+    "hoggar.json": "3f6f0157b2221f4031b3aaefa299358c89d059a8dd33838fe004c613bcce71f9",
+    "zero_design.json": "2e3dfaaf96dbd66c8985ddaa628a4f5865c2a234d799e019bfc60e23e5a30310",
+    "zero_design_incidence.csv": "4a90fb4527db2434eb2e9ccfe3c38e114561d850b1ac5cf1293a9dde00a7c444",
+}
+
+
+def test_exact_artifacts_keep_their_pinned_bytes(tmp_path):
+    family = tmp_path / "hoggar.json"
+    assert run(["construct", "--d", "8", "--v=-1+2i", "--out", str(family), "--out-dir", str(tmp_path)]) == 0
+    assert run(["zero-design", "--family", str(family), "--format", "csv", "--out-dir", str(tmp_path)]) == 0
+    assert {name: hashlib.sha256(read(tmp_path / name)).hexdigest() for name in PINNED_SHA256} == PINNED_SHA256
 
 
 def test_family_file_roundtrips_through_subcommands(tmp_path):
@@ -290,14 +307,15 @@ def test_statistics_carry_a_nan_through_the_running_reductions(tmp_path, monkeyp
     report = report_run(tmp_path, 8193, 2)
     blocks = []
 
-    def poisoned(states, fam):
-        probs = outcome_matrix(states, fam)
-        blocks.append(probs)
-        if len(blocks) == 2:
-            probs[0, 0] = np.nan
-        return probs
+    class Poisoned(Measurement):
+        def probabilities(self, rows):
+            probs, amps = super().probabilities(rows)
+            blocks.append(probs)
+            if len(blocks) == 2:
+                probs[0, 0] = np.nan
+            return probs, amps
 
-    monkeypatch.setattr(cli, "outcome_matrix", poisoned)
+    monkeypatch.setattr(cli, "Measurement", Poisoned)
     checks = _statistics(report, None)
     assert len(blocks) == len(row_blocks(8193))
     assert not any(c.passed for c in checks) and all(math.isnan(c.value) for c in checks)
