@@ -9,7 +9,6 @@ twin-simplex Bloch geometry.
 
 from .algebra import (
     HadamardMatrix,
-    bits_to_int,
     dephase,
     fourier_matrix,
     int_to_bits,
@@ -32,7 +31,6 @@ from .designs import (
     difference_set_check,
     frame_potential,
     haar_moment,
-    is_t_design,
     verify_symmetric_design,
     zero_blocks,
 )

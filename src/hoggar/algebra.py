@@ -34,16 +34,6 @@ def int_to_bits(x, width=3):
     return tuple((x >> (width - 1 - i)) & 1 for i in range(width))
 
 
-def bits_to_int(bits):
-    """Inverse of :func:`int_to_bits` (MSB-first)."""
-    value = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise InvalidArgumentError(f"bit {_plain(b)!r} is not 0 or 1")
-        value = (value << 1) | b
-    return value
-
-
 @dataclass(frozen=True)
 class HadamardCheck:
     """Result of a Hadamard-condition test with the worst deviation observed."""

@@ -436,20 +436,23 @@ def _oracles(run, tol):
     ba = blahut_arimoto(np.array([[1 - flip, flip], [flip, 1 - flip]]), tol=1e-13)
     bsc = math.log(2.0) - float(eta([flip, 1 - flip]).sum())
     checks = [near("bsc_capacity", ba.capacity, bsc, 1e-9)]
-    # Haar moment by unitary invariance: |<a|b>|^2 has the law of |<e0|b>|^2, so draw b alone
+    # Haar moment by unitary invariance: |<a|b>|^2 has the law of every |<e_i|b>|^2, so
+    # draw b alone and take the basis average (1/d) sum_i |b_i|^4, one unbiased sample per b
+    d = fam.d
     rng = np.random.default_rng((seed, 2**33))
     u = np.empty(mc_samples)
     for rows in row_blocks(mc_samples):
-        x = rng.standard_normal((rows.stop - rows.start, 2 * fam.d))
+        x = rng.standard_normal((rows.stop - rows.start, 2 * d))
         np.square(x, out=x)
-        np.divide(x[:, 0] + x[:, fam.d], x.sum(axis=1), out=u[rows])
-    np.square(u, out=u)  # the samples of |<e0|b>|^4
+        w = x[:, :d] + x[:, d:]  # |b_i|^2 before normalization
+        s = x.sum(axis=1)
+        np.divide((w * w).sum(axis=1), s * s * d, out=u[rows])
     mc = float(u.mean())
     # the standard error as u.std(ddof=1) / sqrt(n) forms it, without a second n-float array
     u -= mc
     np.square(u, out=u)
     se = math.sqrt(float(u.sum()) / (mc_samples - 1)) / math.sqrt(mc_samples)
-    checks.append(near("haar_moment_monte_carlo", mc, haar_moment(fam.d, 2), 3 * se))
+    checks.append(near("haar_moment_monte_carlo", mc, haar_moment(d, 2), 3 * se))
     # analytic gradient against central finite differences
     worst = 0.0
     h = 1e-6
@@ -564,7 +567,7 @@ COMMANDS = (
         "report", None,
         VERIFY + SEARCH + (
             _flag("--samples", type=_int_at_least(1), default=100000),
-            _flag("--mc-samples", type=_int_at_least(2), default=1000000),
+            _flag("--mc-samples", type=_int_at_least(2), default=100000),
         ),
         (
             (_save_family, None), (_sic, 1e-12), (_twin_entropy, 1e-10), (_mutual_info, 1e-10),

@@ -74,14 +74,6 @@ def haar_moment(d, t):
     return math.factorial(t) * math.factorial(d - 1) / math.factorial(t + d - 1)
 
 
-def is_t_design(state_set, t, tol=1e-12):
-    """Whether frame potentials match the invariant moments for all orders 1..t."""
-    return all(
-        abs(frame_potential(state_set, s) - haar_moment(state_set.d, s)) <= tol
-        for s in range(1, t + 1)
-    )
-
-
 @dataclass(frozen=True)
 class ZeroBlockDesign:
     """64 zero blocks indexed by flat (mu, nu); members are flat (iota, kappa) points.

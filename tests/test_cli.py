@@ -290,13 +290,16 @@ def test_sampling_checks_match_full_arrays(tmp_path, one_shot_haar):
     expected = [float(entropies.min()), float(entropies.max()), float(np.abs(ics - 2.0 / (d * (d + 1))).max())]
     assert [c.value for c in _statistics(report, None)] == expected
     # the oracle draws only the second state b, d real and d imaginary parts per row,
-    # block by block, and measures it against e0
+    # block by block, and averages |<e_i|b>|^4 over the basis
     rng = np.random.default_rng((1, 2**33))
     x = np.concatenate([rng.standard_normal((rows.stop - rows.start, 2 * d)) for rows in row_blocks(n)])
-    u = (x[:, 0] ** 2 + x[:, d] ** 2) / (x * x).sum(axis=1)
     b = (x[:, :d] + 1j * x[:, d:]) / np.linalg.norm(x, axis=1)[:, None]
-    np.testing.assert_allclose(u, np.abs(b[:, 0]) ** 2, rtol=1e-14)
-    mc, se = float((u**2).mean()), float((u**2).std(ddof=1) / math.sqrt(n))
+    x *= x
+    w = x[:, :d] + x[:, d:]
+    s = x.sum(axis=1)
+    u = (w * w).sum(axis=1) / (s * s * d)
+    np.testing.assert_allclose(u, (np.abs(b) ** 4).mean(axis=1), rtol=1e-14)
+    mc, se = float(u.mean()), float(u.std(ddof=1) / math.sqrt(n))
     check = next(c for c in _oracles(report, None) if c.name == "haar_moment_monte_carlo")
     assert (check.value, check.tolerance) == (mc, 3 * se)
 
@@ -329,6 +332,22 @@ def test_sampling_checks_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
         report = report_run(tmp_path, 20001, 20001)
         values.append(_statistics(report, None) + _oracles(report, None))
     assert all(v == values[0] for v in values[1:])
+
+
+@pytest.mark.parametrize("seed", [1, 59])
+def test_moment_oracle_catches_a_moment_half_a_percent_off(tmp_path, monkeypatch, seed):
+    # at the default --mc-samples the tolerance is about 6.7e-5, and 0.5% of 1/36 is 1.4e-4
+    from hoggar import cli
+
+    report = Run(build_parser().parse_args(["report", "--d", "8", "--seed", str(seed), "--out-dir", str(tmp_path)]))
+
+    def moment_check():
+        return next(c for c in _oracles(report, None) if c.name == "haar_moment_monte_carlo")
+
+    assert moment_check().passed
+    true_moment = cli.haar_moment
+    monkeypatch.setattr(cli, "haar_moment", lambda d, t: 1.005 * true_moment(d, t))
+    assert not moment_check().passed
 
 
 def traced_peak(step, report):

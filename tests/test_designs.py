@@ -14,7 +14,6 @@ from hoggar import (
     difference_set_check,
     frame_potential,
     haar_moment,
-    is_t_design,
     random_pure_state,
     verify_symmetric_design,
     zero_blocks,
@@ -41,18 +40,25 @@ def test_haar_moment_monte_carlo(rng):
 
 @pytest.mark.parametrize("d", [2, 3, 8])
 def test_one_state_and_two_state_moments_share_a_law(d):
-    # unitary invariance: |<a|b>|^2 for Haar a and b has the law of |<e0|b>|^2,
+    # unitary invariance: |<a|b>|^2 for Haar a and b has the law of every |<e_i|b>|^2,
     # which the report's oracle draws as d real and d imaginary parts of b
     n = 100000
     rng = np.random.default_rng((20240811, d))
     x = rng.standard_normal((n, 2 * d)) ** 2
-    one_state = (x[:, 0] + x[:, d]) / x.sum(axis=1)
+    w = (x[:, :d] + x[:, d:]) / x.sum(axis=1)[:, None]
+    one_state = w[:, 0]
     a, b = random_pure_state(d, rng, size=n), random_pure_state(d, rng, size=n)
     two_state = np.abs(np.einsum("ni,ni->n", a.conj(), b)) ** 2
     for u in (one_state, two_state):
         for t in (1, 2, 3):
             mc, se = (u**t).mean(), (u**t).std(ddof=1) / math.sqrt(n)
             assert abs(mc - haar_moment(d, t)) <= 4 * se, (t, mc, se)
+    # the oracle's basis average (1/d) sum_i |<e_i|b>|^4: the same mean as |<a|b>|^4
+    # from independent draws, at a tenth of the variance of one overlap or less
+    average, single = (w**2).mean(axis=1), two_state**2
+    gap_se = math.hypot(average.std(ddof=1), single.std(ddof=1)) / math.sqrt(n)
+    assert abs(average.mean() - single.mean()) <= 3 * gap_se, (average.mean(), single.mean(), gap_se)
+    assert average.var(ddof=1) * 10 <= (one_state**2).var(ddof=1)
 
 
 def test_frame_potentials_hoggar(hoggar_v):
@@ -62,12 +68,6 @@ def test_frame_potentials_hoggar(hoggar_v):
     expected_t3 = 1 / 64 + (63 / 64) * (1 / 9) ** 3
     assert frame_potential(s, 3) == pytest.approx(expected_t3, abs=1e-14)
     assert frame_potential(s, 3) > haar_moment(8, 3) + 1e-3
-
-
-def test_is_t_design(hoggar_v, tetra_v):
-    assert is_t_design(StateSet.from_family(hoggar_v), 2)
-    assert not is_t_design(StateSet.from_family(hoggar_v), 3)
-    assert is_t_design(StateSet.from_family(tetra_v), 2)
 
 
 def test_welch_lower_bound_random_sets(rng):
