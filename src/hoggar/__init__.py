@@ -18,7 +18,6 @@ from .algebra import (
 from .bloch import (
     HermitianBasis,
     bloch_matrix,
-    bloch_vector,
     hermitian_basis,
     reflect_coordinates,
     simplex_check,
@@ -43,7 +42,6 @@ from .errors import (
 )
 from .infotheory import (
     Ensemble,
-    JointTable,
     OutcomeDistribution,
     holevo_quantity,
     ht_minimizer,
@@ -70,14 +68,12 @@ from .optimize import (
 )
 from .sic import (
     ADMISSIBLE_V,
-    OverlapTable,
     PauliLabel,
     SicFamily,
     all_overlap_tables,
     conjugate_set,
     hadamard_sic_family,
     hoggar_family,
-    overlap_table,
     pauli_operator,
     projector_distance,
     tetrahedral_family,

@@ -82,36 +82,18 @@ def hermitian_basis(d):
     )
 
 
-def _as_density(state):
-    state = np.asarray(state, dtype=np.complex128)
-    if state.ndim == 1:
-        return np.outer(state, state.conj())
-    if state.ndim == 2 and state.shape[0] == state.shape[1]:
-        return state
-    raise InvalidArgumentError("state must be a vector or a square density matrix")
-
-
-def bloch_vector(rho, basis):
-    """Coordinates sqrt(d/(d-1)) * tr(rho b_a); unit norm for pure inputs."""
-    rho = _as_density(rho)
-    if rho.shape[0] != basis.d:
-        raise InvalidArgumentError("state dimension does not match the basis")
-    scale = math.sqrt(basis.d / (basis.d - 1))
-    return scale * np.einsum("aij,ji->a", basis.elements, rho).real
-
-
 def _vectors_of(states):
     if isinstance(states, SicFamily):
-        return states.states, states.d, states.hadamard.is_real
+        return states.states, states.d
     if isinstance(states, StateSet):
-        return states.vectors, states.d, None
+        return states.vectors, states.d
     arr = np.asarray(states, dtype=np.complex128)
-    return arr, arr.shape[1], None
+    return arr, arr.shape[1]
 
 
 def bloch_matrix(states, basis):
     """Stack of Bloch vectors for a family / state set / array of pure vectors."""
-    vectors, d, _ = _vectors_of(states)
+    vectors, d = _vectors_of(states)
     if d != basis.d:
         raise InvalidArgumentError("state dimension does not match the basis")
     scale = math.sqrt(d / (d - 1))
@@ -130,7 +112,7 @@ class SimplexReport:
 
 def simplex_check(states, basis, tol=1e-12):
     """Regular-simplex test: unit norms, constant pairwise inner products, zero centroid."""
-    vectors, d, _ = _vectors_of(states)
+    vectors, d = _vectors_of(states)
     if vectors.shape[0] != d * d:
         raise InvalidArgumentError(f"expected d^2 = {d * d} states, got {vectors.shape[0]}")
     coords = bloch_matrix(vectors, basis)

@@ -44,6 +44,7 @@ from .infotheory import (
     mutual_information,
     outcome_distribution,
     outcome_matrix,
+    outcome_probabilities,
     eta,
     shannon_entropy,
     sic_min_entropy_bound,
@@ -262,7 +263,7 @@ def _mutual_info(run, tol):
         expected = args.expected
     info = mutual_information(ensemble, fam)
     chi = holevo_quantity(ensemble, fam)
-    flat = np.einsum("kij,ji->k", fam.effects, ensemble.average_state()).real
+    flat = outcome_probabilities(ensemble.average_state(), fam)
     checks = [
         near("holevo_equals_mutual_information", abs(info - chi), 0.0, 1e-12),
         near("average_state_uniform_outcomes", float(np.abs(flat - 1.0 / fam.k).max()), 0.0, tol),

@@ -57,10 +57,6 @@ class OutcomeDistribution:
         a.setflags(write=False)
         object.__setattr__(self, "probs", a)
 
-    @classmethod
-    def from_probs(cls, probs):
-        return cls(probs=probs)
-
     @property
     def zero_count(self):
         """The number of numerically zero entries (below ``ZERO_THRESHOLD``)."""
@@ -187,7 +183,7 @@ def outcome_probabilities(state, povm):
 def outcome_distribution(state, povm):
     """Measure ``state`` with ``povm`` and return the validated distribution."""
     probs = outcome_probabilities(state, povm)
-    return OutcomeDistribution.from_probs(probs)
+    return OutcomeDistribution(probs)
 
 
 def outcome_matrix(states, povm):
@@ -258,39 +254,23 @@ def twin_ensemble(fam_vbar):
     return uniform_ensemble(list(fam_vbar.states))
 
 
-@dataclass(frozen=True)
-class JointTable:
-    """Joint input/outcome probabilities P_ij = w_i * tr(tau_i Pi_j)."""
-
-    table: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.table, dtype=np.float64).copy()
-        if not (np.isfinite(a).all() and (a >= 0).all()):
-            raise InvalidArgumentError("joint table entries must be finite and nonnegative")
-        a.setflags(write=False)
-        object.__setattr__(self, "table", a)
-
-    def validate(self, weights):
-        if abs(self.table.sum() - 1.0) > 1e-12:
-            raise InvalidArgumentError("joint table does not sum to 1")
-        if np.abs(self.table.sum(axis=1) - weights).max() > 1e-12:
-            raise InvalidArgumentError("joint table rows do not sum to the weights")
-
-
-def joint_table(ensemble, povm):
+def _joint_table(ensemble, povm):
+    """Joint input/outcome probabilities P_ij = w_i * tr(tau_i Pi_j); rows must sum to the weights."""
     m = povm if isinstance(povm, Measurement) else Measurement(povm)
     rows = []
     for w, s in zip(ensemble.weights, ensemble.states):
         rows.append(w * outcome_probabilities(s, m))
-    table = JointTable(table=np.vstack(rows))
-    table.validate(ensemble.weights)
+    table = np.vstack(rows)
+    if abs(table.sum() - 1.0) > 1e-12:
+        raise InvalidArgumentError("joint table does not sum to 1")
+    if np.abs(table.sum(axis=1) - ensemble.weights).max() > 1e-12:
+        raise InvalidArgumentError("joint table rows do not sum to the weights")
     return table
 
 
 def mutual_information(ensemble, povm):
     """Three-term mutual information between an ensemble and a measurement."""
-    P = joint_table(ensemble, povm).table
+    P = _joint_table(ensemble, povm)
     value = eta(P.sum(axis=1)).sum() + eta(P.sum(axis=0)).sum() - eta(P).sum()
     if value < -1e-12:
         raise InvalidArgumentError(f"mutual information evaluated to {float(value)!r}")
@@ -353,4 +333,4 @@ def ht_minimizer(r, k):
         raise InvalidArgumentError(f"need at least {m} outcomes, got {k}")
     probs = np.zeros(k)
     probs[:m] = r
-    return OutcomeDistribution.from_probs(probs)
+    return OutcomeDistribution(probs)

@@ -353,10 +353,3 @@ def parse_complex(text):
         raise InvalidArgumentError(f"complex literal {text!r} is not finite")
     return value
 
-
-def format_complex(z):
-    z = complex(z)
-    re_part = format_float(z.real)
-    im_part = format_float(abs(z.imag))
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{re_part}{sign}{im_part}i"

@@ -79,11 +79,6 @@ class SicFamily:
     def k(self):
         return self.d * self.d
 
-    def flat_index(self, j, k):
-        if not (0 <= j < self.d and 0 <= k < self.d):
-            raise InvalidArgumentError(f"label ({j},{k}) out of range for d={self.d}")
-        return j * self.d + k
-
 
 def hadamard_sic_family(hadamard, v):
     """Build the d^2-vector family for (hadamard, v); admissibility is advisory.
@@ -180,33 +175,6 @@ def verify_sic(fam, tol=DEFAULT_TOL):
     )
 
 
-@dataclass(frozen=True)
-class OverlapTable:
-    """Squared magnitudes |inner(H_jk(v), H_mn(vbar))|^2 for one target (m, n)."""
-
-    m: int
-    n: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.values, dtype=np.float64).copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "values", a)
-
-    def zero_count(self, threshold=1e-10):
-        return int((self.values < threshold).sum())
-
-    def distinct_values(self, rtol=1e-9):
-        """Sorted representatives of the value multiset, merged within rtol."""
-        vals = np.sort(self.values.ravel())
-        scale = max(vals[-1], 1.0)
-        reps = [float(vals[0])]
-        for x in vals[1:]:
-            if x - reps[-1] > rtol * scale:
-                reps.append(float(x))
-        return reps
-
-
 def _check_twin_pair(fam_v, fam_vbar):
     if fam_v.d != fam_vbar.d:
         raise InvalidArgumentError("families differ in dimension")
@@ -214,15 +182,6 @@ def _check_twin_pair(fam_v, fam_vbar):
         raise InvalidArgumentError("family parameters are not complex conjugates")
     if not np.allclose(fam_v.hadamard.matrix, fam_vbar.hadamard.matrix, atol=1e-12):
         raise InvalidArgumentError("families are not built over the same Hadamard matrix")
-
-
-def overlap_table(fam_v, fam_vbar, m, n):
-    """Raw inner-product table of the (v, vbar) pair against target vector (m, n)."""
-    _check_twin_pair(fam_v, fam_vbar)
-    d = fam_v.d
-    target = fam_vbar.raw[fam_vbar.flat_index(m, n)]
-    inner = fam_v.raw @ target.conj()
-    return OverlapTable(m=m, n=n, values=(np.abs(inner) ** 2).reshape(d, d))
 
 
 def all_overlap_tables(fam_v, fam_vbar):

@@ -8,7 +8,6 @@ from hoggar import (
     StateSet,
     UnsupportedError,
     bloch_matrix,
-    bloch_vector,
     hermitian_basis,
     random_pure_state,
     reflect_coordinates,
@@ -46,14 +45,12 @@ def test_basis_d2_matches_pauli_directions():
 
 def test_bloch_vector_basics(hoggar_v, rng):
     basis = hermitian_basis(8)
-    assert np.abs(bloch_vector(np.eye(8) / 8, basis)).max() < 1e-15
     psi = random_pure_state(8, rng)
-    assert np.linalg.norm(bloch_vector(psi, basis)) == pytest.approx(1.0, abs=1e-12)
-    b0 = bloch_vector(hoggar_v.states[0], basis)
-    b1 = bloch_vector(hoggar_v.states[1], basis)
+    assert np.linalg.norm(bloch_matrix([psi], basis)[0]) == pytest.approx(1.0, abs=1e-12)
+    b0, b1 = bloch_matrix(hoggar_v.states[:2], basis)
     assert float(b0 @ b1) == pytest.approx(-1 / 63, abs=1e-12)
     with pytest.raises(InvalidArgumentError):
-        bloch_vector(np.eye(4) / 4, basis)
+        bloch_matrix(np.eye(4)[:1], basis)
 
 
 def test_bloch_isometry(rng):
@@ -61,10 +58,9 @@ def test_bloch_isometry(rng):
     for _ in range(50):
         a = random_pure_state(8, rng)
         b = random_pure_state(8, rng)
-        rho = np.outer(a, a.conj())
-        sigma = np.outer(b, b.conj())
-        hs = np.trace(rho @ sigma).real
-        bdot = float(bloch_vector(rho, basis) @ bloch_vector(sigma, basis))
+        hs = abs(np.vdot(a, b)) ** 2
+        ba, bb = bloch_matrix([a, b], basis)
+        bdot = float(ba @ bb)
         assert hs == pytest.approx(1 / 8 + (7 / 8) * bdot, abs=1e-12)
 
 
@@ -102,12 +98,11 @@ def test_reflection_involution(rng):
 
 def test_transpose_consistency_random_states(rng):
     basis = hermitian_basis(8)
-    for _ in range(1000):
-        psi = random_pure_state(8, rng)
-        rho = np.outer(psi, psi.conj())
-        direct = bloch_vector(rho.T, basis)
-        reflected = reflect_coordinates(bloch_vector(rho, basis), basis)
-        assert np.abs(direct - reflected).max() < 1e-12
+    # transposing |psi><psi| gives the projector of conj(psi)
+    psi = random_pure_state(8, rng, size=1000)
+    direct = bloch_matrix(psi.conj(), basis)
+    reflected = reflect_coordinates(bloch_matrix(psi, basis), basis)
+    assert np.abs(direct - reflected).max() < 1e-12
 
 
 def test_transpose_reflection_hoggar(hoggar_v, hoggar_vbar):
@@ -127,7 +122,7 @@ def test_transpose_reflection_d2(tetra_v, tetra_vbar):
 def test_real_state_fixed_by_reflection():
     basis = hermitian_basis(8)
     real_state = np.full(8, 1 / math.sqrt(8), dtype=complex)
-    coords = bloch_vector(real_state, basis)
+    coords = bloch_matrix([real_state], basis)
     assert np.abs(reflect_coordinates(coords, basis) - coords).max() < 1e-15
 
 
@@ -142,7 +137,9 @@ def test_transpose_reflection_rejects_complex_source(fourier3_families):
 
 
 def test_bloch_matrix_matches_vectors(hoggar_v):
+    # reference: the coordinates sqrt(d/(d-1)) tr(rho b_a) of each projector rho
     basis = hermitian_basis(8)
     matrix = bloch_matrix(hoggar_v, basis)
-    single = bloch_vector(hoggar_v.states[17], basis)
+    rho = np.outer(hoggar_v.states[17], hoggar_v.states[17].conj())
+    single = math.sqrt(8 / 7) * np.einsum("aij,ji->a", basis.elements, rho).real
     assert np.abs(matrix[17] - single).max() < 1e-14

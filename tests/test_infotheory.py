@@ -8,7 +8,6 @@ from hoggar import (
     Ensemble,
     InvalidArgumentError,
     InvalidPovmError,
-    JointTable,
     OptimizerConfig,
     OutcomeDistribution,
     UnsupportedError,
@@ -165,7 +164,7 @@ def test_ht_minimizer():
 
 def test_negative_mutual_information_shows_a_plain_float(hoggar_v, monkeypatch):
     # a table that is no distribution gives a negative value: -2 ln 2
-    monkeypatch.setattr(infotheory, "joint_table", lambda ensemble, povm: infotheory.JointTable(table=[[2.0]]))
+    monkeypatch.setattr(infotheory, "_joint_table", lambda ensemble, povm: np.array([[2.0]]))
     with pytest.raises(InvalidArgumentError) as excinfo:
         mutual_information(twin_ensemble(hoggar_v), hoggar_v)
     assert str(excinfo.value) == f"mutual information evaluated to {-2 * math.log(2.0)!r}"
@@ -204,16 +203,12 @@ def test_distribution_clamps_and_validates():
     probs = np.full(4, 0.25)
     probs[0] -= 5e-15
     probs[1] += 5e-15
-    dist = OutcomeDistribution.from_probs(probs)
+    dist = OutcomeDistribution(probs)
     assert (dist.probs >= 0).all()
-    with pytest.raises(InvalidArgumentError):
-        OutcomeDistribution.from_probs(np.array([0.5, 0.4]))
-    # the constructor itself validates, and the zero count follows the probabilities
+    # the constructor validates, and the zero count follows the probabilities
     with pytest.raises(InvalidArgumentError, match="sum to 0.9"):
         OutcomeDistribution(np.array([0.5, 0.4]))
     assert OutcomeDistribution(np.array([0.5, 0.5, 0.0])).zero_count == 1
-    with pytest.raises(InvalidArgumentError, match="finite and nonnegative"):
-        JointTable(table=[[1.5, -0.5]])
 
 
 def test_ensemble_validation(rng):
@@ -237,9 +232,8 @@ NAN_STACK = [[[np.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: OutcomeDistribution.from_probs([np.nan, 1.0]), InvalidArgumentError, "probabilities must be finite"),
         (lambda: OutcomeDistribution([np.nan, 2.0]), InvalidArgumentError, "probabilities must be finite"),
-        (lambda: JointTable([[np.nan]]), InvalidArgumentError, "joint table entries must be finite and nonnegative"),
+        (lambda: outcome_distribution(NAN_STATE, [np.eye(2)]), InvalidArgumentError, "probabilities must be finite"),
         (lambda: Ensemble(weights=[1.0], states=(NAN_STATE,)), InvalidArgumentError, "states must be finite"),
         (
             lambda: mutual_information(uniform_ensemble([NAN_STATE]), [np.eye(2)]),
@@ -249,7 +243,7 @@ NAN_STACK = [[[np.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]
         (lambda: Measurement(NAN_STACK), InvalidPovmError, "effects must be finite"),
     ],
     ids=[
-        "from_probs", "outcome_distribution", "joint_table", "ensemble", "mutual_information", "as_effects",
+        "outcome_distribution", "nan_state_distribution", "ensemble", "mutual_information", "as_effects",
         "measurement",
     ],
 )

@@ -14,7 +14,6 @@ from hoggar.serialize import (
     ensemble_to_dict,
     family_from_dict,
     family_to_dict,
-    format_complex,
     format_float,
     hadamard_from_dict,
     hadamard_to_dict,
@@ -244,11 +243,6 @@ def test_write_csv_matches_the_reference_writer():
     csv_same_as_reference(np.zeros((0, 3)), header=["x", "y", "z"])
     csv_same_as_reference(np.zeros((2, 0)))
     csv_same_as_reference([[1.0, 2.0], [math.nan, 3.0]])
-
-
-def test_format_complex_roundtrip():
-    z = -1 + 2j
-    assert parse_complex(format_complex(z)) == z
 
 
 def test_dumps_deterministic_and_ordered():

@@ -12,7 +12,6 @@ from hoggar import (
     conjugate_set,
     fourier_matrix,
     hadamard_sic_family,
-    overlap_table,
     pauli_operator,
     projector_distance,
     sylvester_hadamard,
@@ -36,7 +35,8 @@ def closed_form_inner(signs, v, j, k, m, n):
 
 def test_construction_vector_examples(hoggar_v):
     raw = hoggar_v.raw
-    assert np.allclose(raw[hoggar_v.flat_index(0, 0)], [-1 + 2j, 1, 1, 1, 1, 1, 1, 1])
+    # row j*8+k holds label (j, k), so label (0, 0) is row 0
+    assert np.allclose(raw[0], [-1 + 2j, 1, 1, 1, 1, 1, 1, 1])
     squared_norms = np.einsum("ni,ni->n", raw, raw.conj()).real
     assert squared_norms.shape == (64,)
     assert np.abs(squared_norms - 12.0).max() < 1e-12
@@ -93,32 +93,27 @@ def test_verify_sic_rejects_v2():
 
 
 def test_overlap_table_two_valued(hoggar_v, hoggar_vbar):
-    count = np.zeros((8, 8), dtype=int)
-    for m in range(8):
-        for n in range(8):
-            table = overlap_table(hoggar_v, hoggar_vbar, m, n)
-            values = table.distinct_values()
-            assert len(values) == 2
-            assert values[0] == pytest.approx(0.0, abs=1e-20)
-            assert values[1] == pytest.approx(32.0, abs=1e-10)
-            assert table.zero_count() == 28
-            count[m, n] = (table.values > 1.0).sum()
-    assert (count == 36).all()
+    # row m*8+n holds |inner(H_jk(v), H_mn(vbar))|^2 at column j*8+k
+    tables = all_overlap_tables(hoggar_v, hoggar_vbar)
+    assert tables.shape == (64, 64)
+    for row in tables:
+        zeros = row < 1e-10
+        assert zeros.sum() == 28
+        assert row[zeros].max() == pytest.approx(0.0, abs=1e-20)
+        assert np.abs(row[~zeros] - 32.0).max() < 1e-10
 
 
 def test_overlap_self_case(hoggar_v, hoggar_vbar):
     # j=m, k=n case: |d + v^2 - 1|^2 with v^2 = -3-4i gives |4-4i|^2 = 32
-    table = overlap_table(hoggar_v, hoggar_vbar, 3, 5)
-    assert table.values[3, 5] == pytest.approx(32.0, abs=1e-10)
+    tables = all_overlap_tables(hoggar_v, hoggar_vbar)
+    assert tables[3 * 8 + 5, 3 * 8 + 5] == pytest.approx(32.0, abs=1e-10)
 
 
 def test_overlap_table_d2(tetra_v, tetra_vbar):
-    for m in range(2):
-        for n in range(2):
-            table = overlap_table(tetra_v, tetra_vbar, m, n)
-            assert table.zero_count() == 1
-            nonzero = np.sort(table.values.ravel())[1:]
-            assert np.abs(nonzero - nonzero[0]).max() < 1e-12
+    for row in all_overlap_tables(tetra_v, tetra_vbar):
+        assert (row < 1e-10).sum() == 1
+        nonzero = np.sort(row)[1:]
+        assert np.abs(nonzero - nonzero[0]).max() < 1e-12
 
 
 def test_parameter_magnitude_range():
@@ -135,9 +130,9 @@ def test_parameter_magnitude_range():
 
 def test_overlap_table_rejects_mismatch(hoggar_v, tetra_vbar):
     with pytest.raises(InvalidArgumentError):
-        overlap_table(hoggar_v, tetra_vbar, 0, 0)
+        all_overlap_tables(hoggar_v, tetra_vbar)
     with pytest.raises(InvalidArgumentError):
-        overlap_table(hoggar_v, hoggar_v, 0, 0)
+        all_overlap_tables(hoggar_v, hoggar_v)
 
 
 def test_proof_formula_agreement(hoggar_v, hoggar_vbar):
@@ -259,8 +254,8 @@ def test_displacements_permute_the_lines(group_family):
             assert np.abs(op @ op.conj().T - np.eye(d)).max() < 1e-12
             for j in range(d):
                 for k in range(d):
-                    moved = op @ fam.states[fam.flat_index(j, k)]
-                    target = fam.states[fam.flat_index(rows[a, j], cols[b, k])]
+                    moved = op @ fam.states[j * d + k]
+                    target = fam.states[rows[a, j] * d + cols[b, k]]
                     assert projector_distance(moved, target) < 1e-12
     report = verify_covariance(fam)
     assert report.covariant and report.worst_deviation < 1e-12
