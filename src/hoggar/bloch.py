@@ -11,7 +11,7 @@ what turns complex conjugation of states into a coordinate reflection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,10 +85,9 @@ def hermitian_basis(d):
 def _vectors_of(states):
     if isinstance(states, SicFamily):
         return states.states, states.d
-    if isinstance(states, StateSet):
-        return states.vectors, states.d
-    arr = np.asarray(states, dtype=np.complex128)
-    return arr, arr.shape[1]
+    if not isinstance(states, StateSet):
+        states = StateSet(states, np.shape(states)[-1] if np.ndim(states) else 0)
+    return states.vectors, states.d
 
 
 def bloch_matrix(states, basis):
@@ -108,6 +107,7 @@ class SimplexReport:
     centroid_deviation: float
     expected_inner: float
     tolerance: float
+    coords: np.ndarray = field(repr=False, compare=False)  # the Bloch matrix measured
 
 
 def simplex_check(states, basis, tol=1e-12):
@@ -115,7 +115,7 @@ def simplex_check(states, basis, tol=1e-12):
     vectors, d = _vectors_of(states)
     if vectors.shape[0] != d * d:
         raise InvalidArgumentError(f"expected d^2 = {d * d} states, got {vectors.shape[0]}")
-    coords = bloch_matrix(vectors, basis)
+    coords = bloch_matrix(states, basis)
     gram = coords @ coords.T
     norms = np.sqrt(np.diag(gram))
     expected = -1.0 / (d * d - 1)
@@ -131,6 +131,7 @@ def simplex_check(states, basis, tol=1e-12):
         centroid_deviation=centroid_dev,
         expected_inner=expected,
         tolerance=float(tol),
+        coords=coords,
     )
 
 

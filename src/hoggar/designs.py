@@ -24,6 +24,7 @@ _SYLVESTER_LAW = np.bitwise_xor.outer(np.arange(64), np.arange(64))
 _SYLVESTER_LAW.setflags(write=False)
 # the three bits of each coordinate of a flat label (iota, kappa) or (mu, nu)
 _BITS = tuple(int_to_bits(x, 3) for x in range(8))
+ZERO_OVERLAP = 1e-10  # twin overlaps |<a|b>| of the raw vectors are exactly 0 or at least sqrt(32)
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,7 @@ class ZeroBlockDesign:
         }
 
 
-def zero_blocks(fam_v, fam_vbar, threshold=1e-10):
+def zero_blocks(fam_v, fam_vbar):
     """Extract the zero blocks of the twin overlap tables and measure (v, k, lambda).
 
     Its ``law[b, p]`` is ``rows[b // 8, p // 8] * 8 + cols[b % 8, p % 8]`` over the
@@ -125,7 +126,7 @@ def zero_blocks(fam_v, fam_vbar, threshold=1e-10):
     if fam_v.d != 8 or not fam_v.hadamard.is_real:
         raise InvalidArgumentError("zero blocks are defined for d=8 twins over a real Hadamard matrix")
     tables = np.abs(fam_vbar.raw.conj() @ fam_v.raw.T)  # row b = |inner| against target b
-    inc = (tables < threshold).astype(np.int64)
+    inc = (tables < ZERO_OVERLAP).astype(np.int64)
     blocks = tuple(tuple(int(p) for p in np.flatnonzero(row)) for row in inc)
 
     sizes = {len(b) for b in blocks}

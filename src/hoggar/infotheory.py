@@ -15,7 +15,6 @@ import numpy as np
 from .errors import InvalidArgumentError, InvalidPovmError, UnsupportedError
 from .sic import SicFamily
 
-ZERO_THRESHOLD = 1e-10
 NEGATIVE_CLAMP = 1e-14
 POVM_IDENTITY_TOL = 1e-8
 
@@ -56,11 +55,6 @@ class OutcomeDistribution:
             raise InvalidArgumentError(f"probabilities sum to {float(a.sum())}, not 1")
         a.setflags(write=False)
         object.__setattr__(self, "probs", a)
-
-    @property
-    def zero_count(self):
-        """The number of numerically zero entries (below ``ZERO_THRESHOLD``)."""
-        return int((self.probs < ZERO_THRESHOLD).sum())
 
 
 def shannon_entropy(p):
@@ -145,6 +139,11 @@ class Measurement:
         return (coeff * amps.conj()) @ self.frame
 
 
+def _measurement(povm):
+    """``povm`` itself when it is a :class:`Measurement`, else a new one of it."""
+    return povm if isinstance(povm, Measurement) else Measurement(povm)
+
+
 def _factor(effects):
     """Frame rows and grouping of a ``(k, d, d)`` stack that must be Hermitian and positive semidefinite."""
     skew = float(np.abs(effects - effects.conj().transpose(0, 2, 1)).max())
@@ -165,7 +164,7 @@ def outcome_probabilities(state, povm):
 
     ``povm`` is anything :func:`as_effects` accepts, or a :class:`Measurement`.
     """
-    m = povm if isinstance(povm, Measurement) else Measurement(povm)
+    m = _measurement(povm)
     state = np.asarray(state, dtype=np.complex128)
     if state.ndim == 1:
         if state.shape[0] != m.d:
@@ -187,8 +186,8 @@ def outcome_distribution(state, povm):
 
 
 def outcome_matrix(states, povm):
-    """Rows of outcome probabilities for a batch of pure states (m, d) -> (m, k)."""
-    return Measurement(povm).probabilities(np.asarray(states, dtype=np.complex128))[0]
+    """Rows of outcome probabilities (m, k) of pure states (m, d); ``povm`` as in :func:`outcome_probabilities`."""
+    return _measurement(povm).probabilities(np.asarray(states, dtype=np.complex128))[0]
 
 
 @dataclass(frozen=True)
@@ -256,7 +255,7 @@ def twin_ensemble(fam_vbar):
 
 def _joint_table(ensemble, povm):
     """Joint input/outcome probabilities P_ij = w_i * tr(tau_i Pi_j); rows must sum to the weights."""
-    m = povm if isinstance(povm, Measurement) else Measurement(povm)
+    m = _measurement(povm)
     rows = []
     for w, s in zip(ensemble.weights, ensemble.states):
         rows.append(w * outcome_probabilities(s, m))
@@ -284,7 +283,7 @@ def holevo_quantity(ensemble, povm):
     probabilities, so the von Neumann entropies reduce to Shannon entropies.
     Equals :func:`mutual_information` identically; kept as a separate route.
     """
-    m = povm if isinstance(povm, Measurement) else Measurement(povm)
+    m = _measurement(povm)
     dists = [outcome_probabilities(s, m) for s in ensemble.states]
     mixture = np.zeros_like(dists[0])
     avg_conditional = 0.0

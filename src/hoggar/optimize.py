@@ -379,20 +379,20 @@ def _projector_distances(projectors, proj):
     return np.abs(projectors - proj).max(axis=(1, 2))
 
 
-def _distinct_minimizers(psi, f, conv):
-    """The converged rows within ``VALUE_MARGIN`` of the batch's best value, one per line.
-
-    Descent also finds non-global local minima; those are not candidates for
-    a maximally informative ensemble built from minimizers.
-    """
-    minimizers = []
-    projectors = np.empty((0, psi.shape[1], psi.shape[1]), dtype=np.complex128)
-    for row in np.flatnonzero(conv & (f <= f.min() + VALUE_MARGIN)):
-        proj = _projector(psi[row])
-        if (_projector_distances(projectors, proj) >= DEDUP_DISTANCE).all():
-            minimizers.append(psi[row])
+def _merge_lines(states, weights):
+    """One state per line, in order; one within ``DEDUP_DISTANCE`` of kept lines adds its weight to the first."""
+    kept, kept_weights = [], []
+    projectors = np.empty((0, states.shape[1], states.shape[1]), dtype=np.complex128)
+    for psi, w in zip(states, weights):
+        proj = _projector(psi)
+        near = np.flatnonzero(_projector_distances(projectors, proj) < DEDUP_DISTANCE)
+        if near.size:
+            kept_weights[near[0]] += w
+        else:
+            kept.append(psi)
+            kept_weights.append(w)
             projectors = np.concatenate([projectors, proj[None]])
-    return minimizers
+    return kept, kept_weights
 
 
 def _ensemble_info(p_rows, weights):
@@ -483,8 +483,12 @@ def capacity_search(povm, cfg=None, entropy=None):
     if group is not None:
         pool = group[0] @ psi[np.argmin(f)]
     else:
+        # the converged rows within VALUE_MARGIN of the best value, one per line: descent also finds
+        # non-global local minima, which are no candidates for a maximally informative ensemble
+        rows = np.flatnonzero(conv & (f <= f.min() + VALUE_MARGIN))
+        minimizers, _ = _merge_lines(psi[rows], np.ones(rows.size))
         rng = np.random.default_rng((cfg.seed, 10**9))
-        pool = np.vstack(_distinct_minimizers(psi, f, conv) + list(random_pure_state(d, rng, size=4 * d * d)))
+        pool = np.vstack(minimizers + list(random_pure_state(d, rng, size=4 * d * d)))
 
     history = []
     capped = 0
@@ -507,17 +511,7 @@ def capacity_search(povm, cfg=None, entropy=None):
 
     # merge numerically identical lines so the reported ensemble is minimal
     order = np.argsort(-weights)
-    merged_states, merged_weights = [], []
-    projectors = np.empty((0, d, d), dtype=np.complex128)
-    for i in order:
-        proj = _projector(pool[i])
-        near = np.flatnonzero(_projector_distances(projectors, proj) < DEDUP_DISTANCE)
-        if near.size:
-            merged_weights[near[0]] += weights[i]
-        else:
-            merged_states.append(pool[i])
-            merged_weights.append(weights[i])
-            projectors = np.concatenate([projectors, proj[None]])
+    merged_states, merged_weights = _merge_lines(pool[order], weights[order])
     weights = np.array(merged_weights)
     ensemble = Ensemble(weights=weights / weights.sum(), states=tuple(merged_states))
 

@@ -53,6 +53,17 @@ def test_bloch_vector_basics(hoggar_v, rng):
         bloch_matrix(np.eye(4)[:1], basis)
 
 
+@pytest.mark.parametrize(
+    "states",
+    [np.ones(8) / np.sqrt(8), np.ones((1, 8))],
+    ids=["one-1d-state", "unnormalized-row"],
+)
+def test_bloch_matrix_rejects_non_state_sets(states):
+    # a lone vector is not a (k, d) set, and an unnormalized row would leave the unit sphere
+    with pytest.raises(InvalidArgumentError):
+        bloch_matrix(states, hermitian_basis(8))
+
+
 def test_bloch_isometry(rng):
     basis = hermitian_basis(8)
     for _ in range(50):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hoggar import optimize
+from hoggar import optimize, sic
 from hoggar.cli import Run, _oracles, _statistics, build_parser, run
 from hoggar.infotheory import Measurement, eta, outcome_matrix
 from hoggar.optimize import row_blocks
@@ -324,6 +324,41 @@ def test_statistics_carry_a_nan_through_the_running_reductions(tmp_path, monkeyp
     assert not any(c.passed for c in checks) and all(math.isnan(c.value) for c in checks)
 
 
+def test_report_builds_the_twin_and_the_measurement_once(tmp_path, monkeypatch):
+    from hoggar import cli
+
+    runs, twins, povms = [], [], {}
+
+    class Recorded(Run):
+        def __init__(self, args):
+            super().__init__(args)
+            runs.append(self)
+
+    def recorded(name, fn):
+        def call(*args):
+            povms.setdefault(name, []).append(args[1])
+            return fn(*args)
+
+        return call
+
+    def conjugate_set(fam):
+        twins.append(fam)
+        return sic.conjugate_set(fam)
+
+    names = ("outcome_distribution", "outcome_matrix", "mutual_information", "holevo_quantity", "outcome_probabilities")
+    for name in names:
+        monkeypatch.setattr(cli, name, recorded(name, getattr(cli, name)))
+    monkeypatch.setattr(cli, "conjugate_set", conjugate_set)
+    monkeypatch.setattr(cli, "Run", Recorded)
+    argv = ["report", "--d", "2", "--restarts", "8", "--samples", "2000", "--mc-samples", "2000"]
+    run(argv + ["--out-dir", str(tmp_path)])
+    (context,) = runs
+    assert len(twins) == 1
+    assert type(context.measurement) is Measurement
+    assert set(povms) == set(names)
+    assert all(povm is context.measurement for calls in povms.values() for povm in calls)
+
+
 def test_sampling_checks_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
     values = []
     # 20001 rows leave a lone last row at 1000 rows a block
@@ -391,7 +426,6 @@ def test_sampling_steps_stream_in_bounded_memory(tmp_path):
         ["design-check", "--d", "2", "--t", "0"],
         ["min-entropy", "--d", "2", "--seed", "-1"],
         ["report", "--d", "2", "--restarts", "0"],
-        ["zero-design", "--d", "8", "--threshold", "nan"],
         ["mutual-info", "--d", "2", "--expected", "nan"],
     ],
 )
@@ -413,6 +447,7 @@ def test_out_of_range_arguments_rejected_at_parse_time(argv, tmp_path, capsys):
         ["construct", "--d", "2", "--family", "/nonexistent.json"],
         ["report", "--d", "2", "--tol", "1e-300"],
         ["zero-design", "--d", "8", "--tol", "1e-300"],
+        ["zero-design", "--d", "8", "--threshold", "nan"],
     ],
 )
 def test_unknown_flags_rejected(argv, tmp_path, capsys):

@@ -102,12 +102,6 @@ def test_zero_block_law_over_sylvester_is_xor(hoggar_v, hoggar_vbar):
     assert np.array_equal(law, np.arange(64)[:, None] ^ np.arange(64)[None, :])
 
 
-def test_zero_blocks_threshold_stability(hoggar_v, hoggar_vbar):
-    a = zero_blocks(hoggar_v, hoggar_vbar, threshold=1e-10)
-    b = zero_blocks(hoggar_v, hoggar_vbar, threshold=1e-6)
-    assert a.blocks == b.blocks
-
-
 def test_zero_blocks_rejects_wrong_dimension(tetra_v, tetra_vbar):
     with pytest.raises(InvalidArgumentError):
         zero_blocks(tetra_v, tetra_vbar)
