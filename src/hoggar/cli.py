@@ -466,7 +466,7 @@ def _oracles(run, tol):
     h = 1e-6
     for i in range(100):
         psi = random_pure_state(fam.d, np.random.default_rng((seed, 2**34 + i)))
-        grad = entropy_gradient(psi, fam)
+        grad = entropy_gradient(psi, run.measurement)
         direction = grad / np.linalg.norm(grad)
         fwd = (psi + h * direction) / np.linalg.norm(psi + h * direction)
         bwd = (psi - h * direction) / np.linalg.norm(psi - h * direction)

@@ -119,7 +119,11 @@ class Measurement:
 
     def probabilities(self, rows):
         """Outcome probabilities (b, k) of the pure states ``rows`` (b, d), and the frame amplitudes."""
-        amps = rows.conj() @ self.frame.T
+        return self.probabilities_conj(rows.conj())
+
+    def probabilities_conj(self, rows_conj):
+        """:meth:`probabilities` of the rows whose complex conjugates are ``rows_conj``."""
+        amps = rows_conj @ self.frame.T
         p = np.abs(amps)
         np.square(p, out=p)
         p /= self.scale

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .infotheory import Ensemble, Measurement, eta, mutual_information
+from .infotheory import Ensemble, Measurement, _measurement, eta, mutual_information
 from .sic import SicFamily, displacements
 
 GRAD_FLOOR = 1e-14
@@ -110,7 +110,8 @@ def row_blocks(n):
 
 
 def _normalize_rows(x):
-    return x / np.linalg.norm(x, axis=1)[:, None]
+    # the row norms as np.linalg.norm(x, axis=1) forms them, without its dispatch
+    return x / np.sqrt(np.add.reduce((x.conj() * x).real, axis=1))[:, None]
 
 
 def haar_blocks(d, rng, n):
@@ -154,122 +155,141 @@ def random_pure_state(d, rng, size=None):
     return z[0] if size is None else z
 
 
-class _EntropyObjective(Measurement):
-    """Batched measurement-entropy value/gradient for a fixed POVM."""
+def _entropy(m, psi_rows):
+    """Measurement entropy of each row of ``psi_rows`` under the :class:`Measurement` ``m``."""
+    p, _ = m.probabilities(psi_rows)
+    return eta(p).sum(axis=1)
 
-    def value(self, psi_rows):
-        p, _ = self.probabilities(psi_rows)
-        return eta(p).sum(axis=1)
 
-    def value_and_grad(self, psi_rows):
-        p, amps = self.probabilities(psi_rows)
-        slope = -(np.log(np.maximum(p, GRAD_FLOOR)) + 1.0)  # eta'(p), regularized at 0
-        ambient = self.grad_scale * self.pullback(slope, amps)
-        coeff = np.einsum("bi,bi->b", psi_rows.conj(), ambient)
-        tangent = ambient - coeff[:, None] * psi_rows
-        gnorm_sq = np.einsum("bi,bi->b", tangent, tangent.conj()).real
-        return eta(p).sum(axis=1), tangent, gnorm_sq
+def _entropy_and_gradient(m, psi_rows):
+    """Entropy of each row, its Riemannian gradient on the sphere and that gradient's squared norm."""
+    psi_conj = psi_rows.conj()
+    p, amps = m.probabilities_conj(psi_conj)
+    slope = -(np.log(np.maximum(p, GRAD_FLOOR)) + 1.0)  # eta'(p), regularized at 0
+    ambient = m.grad_scale * m.pullback(slope, amps)
+    coeff = np.einsum("bi,bi->b", psi_conj, ambient)
+    tangent = ambient - coeff[:, None] * psi_rows
+    gnorm_sq = np.einsum("bi,bi->b", tangent, tangent.conj()).real
+    return eta(p).sum(axis=1), tangent, gnorm_sq
+
+
+# The descent minimizes the entropy of a plain Measurement; the acceptance
+# suite builds its objective under this name.
+_EntropyObjective = Measurement
 
 
 def entropy_gradient(psi, povm):
-    """Riemannian gradient of psi -> H(|psi><psi|, povm) at a unit vector."""
+    """Riemannian gradient of psi -> H(|psi><psi|, povm) at a unit vector.
+
+    ``povm`` is anything :func:`~hoggar.infotheory.as_effects` accepts, or a
+    :class:`~hoggar.infotheory.Measurement`.
+    """
     psi = np.asarray(psi, dtype=np.complex128)
     if not np.isfinite(psi).all():
         raise InvalidArgumentError("state must be finite")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise InvalidArgumentError("state must be a unit vector")
-    obj = _EntropyObjective(povm)
-    _, tangent, _ = obj.value_and_grad(psi[None, :])
+    _, tangent, _ = _entropy_and_gradient(_measurement(povm), psi[None, :])
     return tangent[0]
 
 
-def _descend(obj, psi_rows, cfg=None):
+def _descend(m, psi_rows, cfg=None):
     """Projected gradient descent with Armijo backtracking, batched over rows.
 
     A row stops when its tangent-gradient norm drops below ``GRAD_TOL``, when
     two consecutive accepted steps change the value by less than ``VALUE_TOL``
     (both count as converged), or at ``MAX_ITERS`` (not converged).  ``cfg``
     is not used: the descent settings are module constants.
+
+    The loop keeps a working set of the active rows only, in their original
+    order, and writes a row's result out when it retires; the line search
+    keeps its still-backtracking rows the same way.  So every evaluation
+    takes exactly the rows that are still in play, never a subset of them: a
+    one-row batch runs through a matrix-vector product, whose last bits can
+    differ from the same row of a matrix product, and a lone row is
+    evaluated alone only when it is the last one left.
     """
     psi = _normalize_rows(np.array(psi_rows, dtype=np.complex128))
-    b = psi.shape[0]
-    f = obj.value(psi)
-    alpha = np.full(b, STEP_INIT)
-    iters = np.zeros(b, dtype=np.int64)
-    converged = np.zeros(b, dtype=bool)
-    active = np.ones(b, dtype=bool)
-    small_streak = np.zeros(b, dtype=np.int64)
+    f = _entropy(m, psi)
+    iters = np.zeros(len(psi), dtype=np.int64)
+    converged = np.zeros(len(psi), dtype=bool)
+    # the working set: original row numbers, states, values, steps and
+    # small-change streaks; an active row has moved in every iteration so far
+    rows, x, fx = np.arange(len(psi)), psi.copy(), f.copy()
+    alpha = np.full(len(psi), STEP_INIT)
+    streak = np.zeros(len(psi), dtype=np.int64)
 
-    for _ in range(MAX_ITERS):
-        if not active.any():
+    def retire(out, moves):
+        """Write out the rows marked in ``out`` as converged and return the rest of the working set."""
+        r = rows[out]
+        psi[r], f[r], iters[r], converged[r] = x[out], fx[out], moves, True
+        keep = ~out
+        return rows[keep], x[keep], fx[keep], alpha[keep], streak[keep]
+
+    for it in range(MAX_ITERS):
+        if not rows.size:
             break
-        idx = np.flatnonzero(active)
-        fv, grad, g2 = obj.value_and_grad(psi[idx])
-        gnorm = np.sqrt(g2)
-        flat = gnorm < GRAD_TOL
+        fv, grad, g2 = _entropy_and_gradient(m, x)
+        flat = np.sqrt(g2) < GRAD_TOL
         if flat.any():
-            converged[idx[flat]] = True
-            active[idx[flat]] = False
-            idx = idx[~flat]
-            if idx.size == 0:
-                continue
+            rows, x, fx, alpha, streak = retire(flat, it)
+            if not rows.size:
+                break
             fv, grad, g2 = fv[~flat], grad[~flat], g2[~flat]
 
-        a = alpha[idx].copy()
-        new_psi = psi[idx].copy()
-        new_f = fv.copy()
-        pending = np.ones(idx.size, dtype=bool)
+        # backtrack the pending rows, at positions `pending` of the working set
+        pending, base, step, direction, fp, gp = np.arange(rows.size), x, alpha, grad, fv, g2
+        new_x, new_f, new_step = np.empty_like(x), np.empty_like(fx), np.empty_like(alpha)
         for _ls in range(MAX_BACKTRACKS):
-            if not pending.any():
+            cand = _normalize_rows(base - step[:, None] * direction)
+            fc = _entropy(m, cand)
+            ok = fc <= fp - ARMIJO_C * step * gp
+            if ok.all():
+                new_x[pending], new_f[pending], new_step[pending] = cand, fc, step
                 break
-            rows = np.flatnonzero(pending)
-            cand = _normalize_rows(psi[idx[rows]] - a[rows, None] * grad[rows])
-            fc = obj.value(cand)
-            ok = fc <= fv[rows] - ARMIJO_C * a[rows] * g2[rows]
-            acc = rows[ok]
-            new_psi[acc] = cand[ok]
-            new_f[acc] = fc[ok]
-            pending[acc] = False
-            a[rows[~ok]] *= ARMIJO_SHRINK
-
-        stalled = pending
-        if stalled.any():
+            if ok.any():
+                hit, miss = pending[ok], ~ok
+                new_x[hit], new_f[hit], new_step[hit] = cand[ok], fc[ok], step[ok]
+                pending, base, step, direction, fp, gp = (
+                    pending[miss], base[miss], step[miss], direction[miss], fp[miss], gp[miss]
+                )
+            step = step * ARMIJO_SHRINK
+        else:
             # no acceptable step at float resolution; the iterate is as good as
             # it gets, so treat it as value-converged
-            converged[idx[stalled]] = True
-            active[idx[stalled]] = False
+            stalled = np.zeros(rows.size, dtype=bool)
+            stalled[pending] = True
+            rows, x, fx, alpha, streak = retire(stalled, it)
+            moved = ~stalled
+            new_x, new_f, new_step = new_x[moved], new_f[moved], new_step[moved]
 
-        moved = ~stalled
-        rows = idx[moved]
-        delta = f[rows] - new_f[moved]
-        psi[rows] = new_psi[moved]
-        f[rows] = new_f[moved]
-        iters[rows] += 1
-        alpha[rows] = np.minimum(a[moved] * 2.0, max(1.0, STEP_INIT))
+        delta = fx - new_f
+        x, fx = new_x, new_f
+        alpha = np.minimum(new_step * 2.0, max(1.0, STEP_INIT))
+        streak = np.where(delta < VALUE_TOL, streak + 1, 0)
+        done = streak >= 2
+        if done.any():
+            rows, x, fx, alpha, streak = retire(done, it + 1)
 
-        small = delta < VALUE_TOL
-        small_streak[rows[small]] += 1
-        small_streak[rows[~small]] = 0
-        done = rows[small_streak[rows] >= 2]
-        converged[done] = True
-        active[done] = False
-
+    psi[rows], f[rows], iters[rows] = x, fx, MAX_ITERS
     return psi, f, iters, converged
 
 
-def _restart_states(obj, cfg, offset):
-    rows = [
-        random_pure_state(obj.d, np.random.default_rng((cfg.seed, offset + i)))
-        for i in range(cfg.restarts)
-    ]
-    return np.vstack(rows)
+def _restart_states(m, cfg, offset):
+    """The restart batch: row i is :func:`random_pure_state` of the generator ``(seed, offset + i)``."""
+    if m.d < 2:
+        raise InvalidArgumentError("dimension must be >= 2")
+    x = np.empty((cfg.restarts, 2, m.d))
+    for i, parts in enumerate(x):
+        np.random.default_rng((cfg.seed, offset + i)).standard_normal(out=parts)
+    return _normalize_rows(x[:, 0] + 1j * x[:, 1])
 
 
 def min_entropy_search(povm, cfg=None):
     """Multi-restart entropy minimization over pure states for a fixed POVM."""
     cfg = cfg if cfg is not None else OptimizerConfig()
-    obj = _EntropyObjective(povm)
-    psi, f, iters, conv = batch = _descend(obj, _restart_states(obj, cfg, 0))
+    m = Measurement(povm)
+    psi, f, iters, conv = batch = _descend(m, _restart_states(m, cfg, 0))
     best = int(np.argmin(f))
     return SearchResult(
         best_value=float(f[best]),
@@ -403,15 +423,15 @@ def _ensemble_info(p_rows, weights):
 
 def _ascend_states(obj, pool, weights):
     """Jacobi gradient-ascent polish of pool states at fixed weights."""
-    psi = pool.copy()
+    psi, psi_conj = pool, pool.conj()
     alpha = STEP_INIT
-    p, amps = obj.probabilities(psi)
+    p, amps = obj.probabilities_conj(psi_conj)
     value = _ensemble_info(p, weights)
     for _ in range(ASCENT_STEPS):
         q = weights @ p
         rel = np.log(np.maximum(p, GRAD_FLOOR)) - np.log(np.maximum(q, GRAD_FLOOR))[None, :]
         ambient = (obj.grad_scale * weights[:, None]) * obj.pullback(rel, amps)
-        coeff = np.einsum("bi,bi->b", psi.conj(), ambient)
+        coeff = np.einsum("bi,bi->b", psi_conj, ambient)
         tangent = ambient - coeff[:, None] * psi
         g2 = float(np.einsum("bi,bi->", tangent, tangent.conj()).real)
         if g2 < 1e-28:
@@ -419,10 +439,11 @@ def _ascend_states(obj, pool, weights):
         accepted = False
         for _ls in range(MAX_BACKTRACKS):
             cand = _normalize_rows(psi + alpha * tangent)
-            p_c, amps_c = obj.probabilities(cand)
+            cand_conj = cand.conj()
+            p_c, amps_c = obj.probabilities_conj(cand_conj)
             value_c = _ensemble_info(p_c, weights)
             if value_c >= value + ARMIJO_C * alpha * g2:
-                psi, p, amps, value = cand, p_c, amps_c, value_c
+                psi, psi_conj, p, amps, value = cand, cand_conj, p_c, amps_c, value_c
                 alpha = min(alpha * 2.0, max(1.0, STEP_INIT))
                 accepted = True
                 break
@@ -474,7 +495,7 @@ def capacity_search(povm, cfg=None, entropy=None):
             raise InvalidArgumentError("entropy result was computed for another POVM")
         if entropy.config != cfg:
             raise InvalidArgumentError("entropy result was computed with another OptimizerConfig")
-    obj = _EntropyObjective(povm)
+    obj = Measurement(povm)
     d, k = obj.d, obj.k
 
     psi, f, iters, conv = first if first is not None else _descend(obj, _restart_states(obj, cfg, 0))

@@ -345,7 +345,10 @@ def test_report_builds_the_twin_and_the_measurement_once(tmp_path, monkeypatch):
         twins.append(fam)
         return sic.conjugate_set(fam)
 
-    names = ("outcome_distribution", "outcome_matrix", "mutual_information", "holevo_quantity", "outcome_probabilities")
+    names = (
+        "outcome_distribution", "outcome_matrix", "mutual_information", "holevo_quantity", "outcome_probabilities",
+        "entropy_gradient",
+    )
     for name in names:
         monkeypatch.setattr(cli, name, recorded(name, getattr(cli, name)))
     monkeypatch.setattr(cli, "conjugate_set", conjugate_set)

@@ -16,8 +16,22 @@ from hoggar import (
     random_pure_state,
     shannon_entropy,
 )
-from hoggar.infotheory import eta
-from hoggar.optimize import ROW_BLOCK, haar_blocks, row_blocks
+from hoggar import optimize as _optimize
+from hoggar.infotheory import Measurement, eta
+from hoggar.optimize import (
+    ARMIJO_C,
+    ARMIJO_SHRINK,
+    ASCENT_STEPS,
+    GRAD_FLOOR,
+    GRAD_TOL,
+    MAX_BACKTRACKS,
+    MAX_ITERS,
+    ROW_BLOCK,
+    STEP_INIT,
+    VALUE_TOL,
+    haar_blocks,
+    row_blocks,
+)
 
 
 def entropy_of(psi, fam):
@@ -115,6 +129,13 @@ def test_entropy_gradient_finite_difference(hoggar_v, rng):
         assert abs(fd - analytic) <= 1e-6 * max(abs(analytic), 1e-3)
 
 
+def test_entropy_gradient_takes_a_prebuilt_measurement(hoggar_v, rng):
+    m = Measurement(hoggar_v)
+    for _ in range(5):
+        psi = random_pure_state(8, rng)
+        assert np.array_equal(entropy_gradient(psi, m), entropy_gradient(psi, hoggar_v))
+
+
 def test_entropy_gradient_vanishes_at_twin(hoggar_v, hoggar_vbar):
     grad = entropy_gradient(hoggar_vbar.states[7], hoggar_v)
     assert np.linalg.norm(grad) < 1e-6
@@ -143,11 +164,9 @@ def test_min_entropy_effect_stack_matches_family(hoggar_v):
 def test_min_entropy_minimizer_recovery(hoggar_v, hoggar_vbar):
     # every restart that attained the global minimum is a twin with the
     # 28-zero / 1-36 outcome pattern
-    from hoggar.optimize import _EntropyObjective, _descend, _restart_states
-
     cfg = OptimizerConfig(restarts=64, seed=1)
-    obj = _EntropyObjective(hoggar_v)
-    psi, f, _, conv = _descend(obj, _restart_states(obj, cfg, 0), cfg)
+    m = Measurement(hoggar_v)
+    psi, f, _, conv = _optimize._descend(m, _optimize._restart_states(m, cfg, 0), cfg)
     winners = np.flatnonzero(conv & (np.abs(f - f.min()) < 1e-8))
     assert winners.size > 0
     for row in winners:
@@ -466,3 +485,241 @@ def test_capacity_search_refuses_a_foreign_entropy_result(tetra_v):
         capacity_search(tetrahedral_family(), cfg, entropy=entropy)
     with pytest.raises(InvalidArgumentError, match="min_entropy_search result"):
         capacity_search(tetra_v, cfg, entropy=capacity_search(tetra_v, cfg))
+
+
+# The sphere descent, its restart draw and the ascent polish, frozen as they
+# stood before the descent kept a compacted working set of its active rows.
+# The library must reproduce them bit for bit: every digest of a search
+# depends on them.
+
+
+def _normalize_rows(x):
+    return x / np.linalg.norm(x, axis=1)[:, None]
+
+
+def _reference_random_pure_state(d, rng):
+    x = rng.standard_normal((2, 1, d))
+    return _normalize_rows(x[0] + 1j * x[1])[0]
+
+
+class _ReferenceObjective(Measurement):
+    def value(self, psi_rows):
+        p, _ = self.probabilities(psi_rows)
+        return eta(p).sum(axis=1)
+
+    def value_and_grad(self, psi_rows):
+        p, amps = self.probabilities(psi_rows)
+        slope = -(np.log(np.maximum(p, GRAD_FLOOR)) + 1.0)  # eta'(p), regularized at 0
+        ambient = self.grad_scale * self.pullback(slope, amps)
+        coeff = np.einsum("bi,bi->b", psi_rows.conj(), ambient)
+        tangent = ambient - coeff[:, None] * psi_rows
+        gnorm_sq = np.einsum("bi,bi->b", tangent, tangent.conj()).real
+        return eta(p).sum(axis=1), tangent, gnorm_sq
+
+
+def _reference_descend(obj, psi_rows, cfg=None):
+    psi = _normalize_rows(np.array(psi_rows, dtype=np.complex128))
+    b = psi.shape[0]
+    f = obj.value(psi)
+    alpha = np.full(b, STEP_INIT)
+    iters = np.zeros(b, dtype=np.int64)
+    converged = np.zeros(b, dtype=bool)
+    active = np.ones(b, dtype=bool)
+    small_streak = np.zeros(b, dtype=np.int64)
+
+    for _ in range(MAX_ITERS):
+        if not active.any():
+            break
+        idx = np.flatnonzero(active)
+        fv, grad, g2 = obj.value_and_grad(psi[idx])
+        gnorm = np.sqrt(g2)
+        flat = gnorm < GRAD_TOL
+        if flat.any():
+            converged[idx[flat]] = True
+            active[idx[flat]] = False
+            idx = idx[~flat]
+            if idx.size == 0:
+                continue
+            fv, grad, g2 = fv[~flat], grad[~flat], g2[~flat]
+
+        a = alpha[idx].copy()
+        new_psi = psi[idx].copy()
+        new_f = fv.copy()
+        pending = np.ones(idx.size, dtype=bool)
+        for _ls in range(MAX_BACKTRACKS):
+            if not pending.any():
+                break
+            rows = np.flatnonzero(pending)
+            cand = _normalize_rows(psi[idx[rows]] - a[rows, None] * grad[rows])
+            fc = obj.value(cand)
+            ok = fc <= fv[rows] - ARMIJO_C * a[rows] * g2[rows]
+            acc = rows[ok]
+            new_psi[acc] = cand[ok]
+            new_f[acc] = fc[ok]
+            pending[acc] = False
+            a[rows[~ok]] *= ARMIJO_SHRINK
+
+        stalled = pending
+        if stalled.any():
+            # no acceptable step at float resolution; the iterate is as good as
+            # it gets, so treat it as value-converged
+            converged[idx[stalled]] = True
+            active[idx[stalled]] = False
+
+        moved = ~stalled
+        rows = idx[moved]
+        delta = f[rows] - new_f[moved]
+        psi[rows] = new_psi[moved]
+        f[rows] = new_f[moved]
+        iters[rows] += 1
+        alpha[rows] = np.minimum(a[moved] * 2.0, max(1.0, STEP_INIT))
+
+        small = delta < VALUE_TOL
+        small_streak[rows[small]] += 1
+        small_streak[rows[~small]] = 0
+        done = rows[small_streak[rows] >= 2]
+        converged[done] = True
+        active[done] = False
+
+    return psi, f, iters, converged
+
+
+def _reference_restart_states(obj, cfg, offset):
+    rows = [
+        _reference_random_pure_state(obj.d, np.random.default_rng((cfg.seed, offset + i)))
+        for i in range(cfg.restarts)
+    ]
+    return np.vstack(rows)
+
+
+def _reference_ascend_states(obj, pool, weights):
+    psi = pool.copy()
+    alpha = STEP_INIT
+    p, amps = obj.probabilities(psi)
+    value = _optimize._ensemble_info(p, weights)
+    for _ in range(ASCENT_STEPS):
+        q = weights @ p
+        rel = np.log(np.maximum(p, GRAD_FLOOR)) - np.log(np.maximum(q, GRAD_FLOOR))[None, :]
+        ambient = (obj.grad_scale * weights[:, None]) * obj.pullback(rel, amps)
+        coeff = np.einsum("bi,bi->b", psi.conj(), ambient)
+        tangent = ambient - coeff[:, None] * psi
+        g2 = float(np.einsum("bi,bi->", tangent, tangent.conj()).real)
+        if g2 < 1e-28:
+            break
+        accepted = False
+        for _ls in range(MAX_BACKTRACKS):
+            cand = _normalize_rows(psi + alpha * tangent)
+            p_c, amps_c = obj.probabilities(cand)
+            value_c = _optimize._ensemble_info(p_c, weights)
+            if value_c >= value + ARMIJO_C * alpha * g2:
+                psi, p, amps, value = cand, p_c, amps_c, value_c
+                alpha = min(alpha * 2.0, max(1.0, STEP_INIT))
+                accepted = True
+                break
+            alpha *= ARMIJO_SHRINK
+        if not accepted:
+            break
+    return psi, value
+
+
+def assert_same_bits(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.fixture(
+    scope="module",
+    params=["tetrahedral", "fourier3-v0", "fourier3-v1+sqrt3i", "hoggar", "hoggar-stack", "rank2-stack"],
+)
+def frozen_povm(request, tetra_v, fourier3_families, hoggar_v):
+    name = request.param
+    if name == "rank2-stack":
+        # one effect of rank two, so the frame has more rows than outcomes
+        e = np.array(fourier3_families[0].effects)
+        stack = np.concatenate([(e[0] + e[1])[None], e[2:]])
+        assert Measurement(stack).group is not None
+        return stack
+    return {
+        "tetrahedral": tetra_v,
+        "fourier3-v0": fourier3_families[0],
+        "fourier3-v1+sqrt3i": fourier3_families[2],
+        "hoggar": hoggar_v,
+        "hoggar-stack": np.array(hoggar_v.effects),
+    }[name]
+
+
+def _descend_both(povm, cfg, offset=0):
+    obj, ref = Measurement(povm), _ReferenceObjective(povm)
+    start = _optimize._restart_states(obj, cfg, offset)
+    assert_same_bits(start, _reference_restart_states(ref, cfg, offset))
+    return _optimize._descend(obj, start, cfg), _reference_descend(ref, start, cfg)
+
+
+# one, two and three restarts make one-row and two-row evaluation batches
+@pytest.mark.parametrize("restarts", [1, 2, 3, 64])
+def test_descent_matches_the_frozen_descent(frozen_povm, restarts):
+    got, expected = _descend_both(frozen_povm, OptimizerConfig(restarts=restarts, seed=1))
+    for g, e in zip(got, expected):
+        assert_same_bits(g, e)
+
+
+def test_restart_states_match_the_frozen_draw_at_an_offset(hoggar_v):
+    cfg = OptimizerConfig(restarts=5, seed=3)
+    obj = Measurement(hoggar_v)
+    assert_same_bits(_optimize._restart_states(obj, cfg, 7), _reference_restart_states(obj, cfg, 7))
+
+
+class _CountingObjective(_ReferenceObjective):
+    """The reference objective, counting the trial evaluations of the longest line search."""
+
+    trials = longest = 0
+
+    def value(self, psi_rows):
+        self.trials += 1
+        self.longest = max(self.longest, self.trials)
+        return super().value(psi_rows)
+
+    def value_and_grad(self, psi_rows):
+        self.trials = 0
+        return super().value_and_grad(psi_rows)
+
+
+def test_descent_matches_the_frozen_descent_through_a_stalled_row(fourier3_families):
+    # at this seed one row of the d = 3 effect stack finds no Armijo step in MAX_BACKTRACKS halvings
+    stack = np.array(fourier3_families[0].effects)
+    cfg = OptimizerConfig(restarts=64, seed=2)
+    ref = _CountingObjective(stack)
+    start = _optimize._restart_states(Measurement(stack), cfg, 0)
+    expected = _reference_descend(ref, start, cfg)
+    assert ref.longest == MAX_BACKTRACKS
+    for g, e in zip(_optimize._descend(Measurement(stack), start, cfg), expected):
+        assert_same_bits(g, e)
+
+
+def test_descent_matches_the_frozen_descent_at_the_iteration_cap(hoggar_v, monkeypatch):
+    monkeypatch.setattr(_optimize, "MAX_ITERS", 3)
+    monkeypatch.setitem(globals(), "MAX_ITERS", 3)
+    got, expected = _descend_both(hoggar_v, OptimizerConfig(restarts=64, seed=1))
+    for g, e in zip(got, expected):
+        assert_same_bits(g, e)
+    psi, f, iters, converged = got
+    assert not converged.any() and (iters == 3).all()
+
+
+@pytest.mark.parametrize("family", ["tetrahedral", "fourier3-v0"])
+def test_ascent_matches_the_frozen_ascent(family, tetra_v, fourier3_families):
+    povm = tetra_v if family == "tetrahedral" else fourier3_families[0]
+    obj = Measurement(povm)
+    pool = random_pure_state(obj.d, np.random.default_rng(4), size=3 * obj.d)
+    weights = np.random.default_rng(5).dirichlet(np.ones(len(pool)))
+    got = _optimize._ascend_states(obj, pool, weights)
+    expected = _reference_ascend_states(obj, pool, weights)
+    assert_same_bits(got[0], expected[0])
+    assert got[1] == expected[1]
+
+
+@pytest.mark.parametrize("search", [min_entropy_search, capacity_search])
+def test_searches_refuse_a_one_dimensional_povm(search):
+    with pytest.raises(InvalidArgumentError, match="dimension must be >= 2"):
+        search(np.ones((1, 1, 1)), OptimizerConfig(restarts=4, seed=1))
