@@ -68,13 +68,11 @@ from .optimize import (
 )
 from .sic import (
     ADMISSIBLE_V,
-    PauliLabel,
     SicFamily,
     all_overlap_tables,
     conjugate_set,
     hadamard_sic_family,
     hoggar_family,
-    pauli_operator,
     projector_distance,
     tetrahedral_family,
     verify_covariance,

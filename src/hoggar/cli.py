@@ -37,7 +37,7 @@ from .designs import (
     verify_symmetric_design,
     zero_blocks,
 )
-from .errors import HoggarError, InvalidArgumentError
+from .errors import HoggarError, InvalidArgumentError, NotADesignError
 from .infotheory import (
     Measurement,
     holevo_quantity,
@@ -353,7 +353,10 @@ def _design(run, tol):
 
 def _zero_design(run, tol):
     fam = run.fam
-    design = zero_blocks(fam, run.twin)
+    try:
+        design = zero_blocks(fam, run.twin)
+    except NotADesignError:  # a zero pattern that is no design is a failed check, not bad input
+        return [Check("design_parameters", False, expected=28.0, tolerance=0.0, dimensionless=True)]
     checks = [
         Check(
             "design_parameters", design.params == (64, 28, 12),

@@ -3,9 +3,9 @@
 Frame potentials use the full double sum over ordered pairs including the
 diagonal, matching the reference moment ``t! (d-1)! / (t+d-1)!`` of the
 unitarily invariant measure.  The zero-block machinery labels the 64 lines
-flat, ``iota*8 + kappa``, and adds labels by the family's own displacement
-group (:func:`hoggar.sic.displacements`).  All design parameters are
-measured from the data, never assumed.
+flat, ``iota*8 + kappa``, and adds labels by the line permutation of the
+family's own displacement group (:attr:`hoggar.sic.SicFamily.displacements`).
+All design parameters are measured from the data, never assumed.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import int_to_bits
 from .errors import InvalidArgumentError, NotADesignError
-from .sic import _check_twin_pair, displacements
+from .sic import _check_twin_pair
 
 # the group law of the flat labels over the Sylvester matrix: Z_2^6 as XOR
 _SYLVESTER_LAW = np.bitwise_xor.outer(np.arange(64), np.arange(64))
@@ -116,8 +116,7 @@ class ZeroBlockDesign:
 def zero_blocks(fam_v, fam_vbar):
     """Extract the zero blocks of the twin overlap tables and measure (v, k, lambda).
 
-    Its ``law[b, p]`` is ``rows[b // 8, p // 8] * 8 + cols[b % 8, p % 8]`` over the
-    tables of :func:`~hoggar.sic.displacements`.
+    Its ``law`` is ``fam_v.displacements.perm`` (:attr:`~hoggar.sic.SicFamily.displacements`).
 
     Raises :class:`NotADesignError` when block sizes or pairwise intersections
     are not constant, carrying the first offending pair.
@@ -148,10 +147,8 @@ def zero_blocks(fam_v, fam_vbar):
             f"block intersections are not constant ({sorted(lam_values.tolist())})",
             offending=(int(bad[0]), int(bad[1])),
         )
-    _, rows, cols = displacements(fam_v)
-    law = (rows[:, None, :, None] * 8 + cols[None, :, None, :]).reshape(64, 64)
-    law.setflags(write=False)
-    return ZeroBlockDesign(blocks=blocks, params=(64, int(k_blk), int(lam_values[0])), law=law)
+    params = (64, int(k_blk), int(lam_values[0]))
+    return ZeroBlockDesign(blocks=blocks, params=params, law=fam_v.displacements.perm)
 
 
 @dataclass(frozen=True)

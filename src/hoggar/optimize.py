@@ -7,8 +7,8 @@ iteration over a candidate state pool, plus gradient ascent on the retained
 states).  The two searches meet in the certificate inequality
 ``I <= ln(k) - min H``.  For a covariant POVM the orbit of one minimum-entropy
 state attains that bound, so the pool of a family with a displacement group
-(:func:`hoggar.sic.displacements`) is the orbit of the best state of one
-restart batch.
+(:attr:`hoggar.sic.SicFamily.displacements`) is the orbit of the best state
+of one restart batch.
 
 Determinism: every restart owns a private pseudorandom stream derived from
 ``(seed, restart_index)``, so results are reproducible regardless of how the
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .infotheory import Ensemble, Measurement, _measurement, eta, mutual_information
-from .sic import SicFamily, displacements
+from .sic import SicFamily
 
 GRAD_FLOOR = 1e-14
 ARMIJO_C = 1e-4
@@ -469,8 +469,8 @@ def capacity_search(povm, cfg=None, entropy=None):
 
     The pool comes from one restart batch of the entropy descent.  For a
     :class:`~hoggar.sic.SicFamily` whose Hadamard matrix has a displacement
-    group (:func:`hoggar.sic.displacements`), it is the orbit of the batch's
-    best state under the d^2 displacements; for any other POVM, the batch's
+    group (:attr:`~hoggar.sic.SicFamily.displacements`), it is the orbit of the
+    batch's best state under the d^2 displacements; for any other POVM, the batch's
     distinct converged minimizers within ``VALUE_MARGIN`` of its best value,
     plus 4*d^2 Haar-random states.  Each outer round reweights the pool with
     :func:`blahut_arimoto`, prunes negligible weights, and polishes the
@@ -500,9 +500,9 @@ def capacity_search(povm, cfg=None, entropy=None):
 
     psi, f, iters, conv = first if first is not None else _descend(obj, _restart_states(obj, cfg, 0))
     best_min = float(f.min())
-    group = displacements(povm) if isinstance(povm, SicFamily) else None
+    group = povm.displacements if isinstance(povm, SicFamily) else None
     if group is not None:
-        pool = group[0] @ psi[np.argmin(f)]
+        pool = group.ops @ psi[np.argmin(f)]
     else:
         # the converged rows within VALUE_MARGIN of the best value, one per line: descent also finds
         # non-global local minima, which are no candidates for a maximally informative ensemble

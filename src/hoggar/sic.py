@@ -14,12 +14,13 @@ rank-one projectors.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, HadamardMatrix, dephase, int_to_bits, sylvester_hadamard
+from .algebra import DEFAULT_TOL, HadamardMatrix, dephase, sylvester_hadamard
 from .errors import InvalidArgumentError, UnsupportedError
 
 _SQRT3 = math.sqrt(3.0)
@@ -78,6 +79,11 @@ class SicFamily:
     @property
     def k(self):
         return self.d * self.d
+
+    @functools.cached_property
+    def displacements(self):
+        """The family's :class:`Displacements`, built on first use, or None without a character table."""
+        return _displacements(self)
 
 
 def hadamard_sic_family(hadamard, v):
@@ -190,45 +196,6 @@ def all_overlap_tables(fam_v, fam_vbar):
     return np.abs(fam_vbar.raw.conj() @ fam_v.raw.T) ** 2
 
 
-@dataclass(frozen=True)
-class PauliLabel:
-    """A pair of binary triples (alpha, beta) indexing the three-qubit Pauli group."""
-
-    alpha: tuple[int, int, int]
-    beta: tuple[int, int, int]
-
-    @classmethod
-    def from_ints(cls, a, b):
-        return cls(alpha=int_to_bits(a, 3), beta=int_to_bits(b, 3))
-
-    def __add__(self, other):
-        return PauliLabel(
-            alpha=tuple(a ^ b for a, b in zip(self.alpha, other.alpha)),
-            beta=tuple(a ^ b for a, b in zip(self.beta, other.beta)),
-        )
-
-
-_SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-
-
-def pauli_operator(label, d=8):
-    """The 8x8 unitary Z^a1 X^b1 (x) Z^a2 X^b2 (x) Z^a3 X^b3, MSB-first qubit order."""
-    if d != 8:
-        raise UnsupportedError("Pauli operators are implemented for d=8 (three qubits) only")
-    if not isinstance(label, PauliLabel):
-        alpha, beta = label
-        if isinstance(alpha, (int, np.integer)):
-            label = PauliLabel.from_ints(alpha, beta)
-        else:
-            label = PauliLabel(alpha=tuple(alpha), beta=tuple(beta))
-    op = np.eye(1, dtype=np.complex128)
-    for a, b in zip(label.alpha, label.beta):
-        factor = np.linalg.matrix_power(_SIGMA_Z, a) @ np.linalg.matrix_power(_SIGMA_X, b)
-        op = np.kron(op, factor)
-    return op
-
-
 def projector_distance(x, y):
     """Entrywise-max distance between the rank-one projectors of unit vectors."""
     x = np.asarray(x, dtype=np.complex128)
@@ -251,20 +218,32 @@ def _product_table(g):
     return hits.argmax(axis=2) if (hits.sum(axis=2) == 1).all() else None
 
 
-def displacements(fam):
-    """The displacement operators of ``fam``, derived from its Hadamard matrix.
+@dataclass(frozen=True)
+class Displacements:
+    """The displacement group of a family, read off its Hadamard matrix (:attr:`SicFamily.displacements`).
 
-    Returns ``(ops, rows, cols)``: ``ops[a * d + b]`` is the unitary
-    ``D(a, b)``, which maps line ``(j, k)`` of the family to line
-    ``(rows[a, j], cols[b, k])``.  With ``c`` the phases of the matrix's row 0
-    and ``g`` the matrix's :func:`~hoggar.algebra.dephase`, ``cols`` and
-    ``rows`` are the product tables of the columns and of the rows of ``g``,
-    and ``D(a, b) = diag(c) diag(g[a]) P_b diag(conj c)`` with
-    ``(P_b x)[cols[b, l]] = x[l]``.  ``g`` is the character table of an
-    abelian group exactly when both tables exist; otherwise the result is
-    None.  Permuted and rephased Sylvester and Fourier matrices are character
-    tables once dephased, and so is every Hadamard matrix at d = 2 and 3 and
-    every real one at d = 8.
+    ``ops[g]`` is the unitary ``D(a, b)`` for ``g = a * d + b``, and
+    ``perm[g, p]`` is the line that ``D_g`` sends line ``p`` to.  The group
+    acts regularly on the lines, so ``perm`` is also the addition law of the
+    flat labels.  Both arrays are read-only.
+    """
+
+    ops: np.ndarray = field(repr=False)
+    perm: np.ndarray = field(repr=False)
+
+
+def _displacements(fam):
+    """The :class:`Displacements` of ``fam``, or None.
+
+    With ``c`` the phases of the matrix's row 0 and ``g`` the matrix's
+    :func:`~hoggar.algebra.dephase`, ``cols`` and ``rows`` are the product
+    tables of the columns and of the rows of ``g``; ``D(a, b) = diag(c)
+    diag(g[a]) P_b diag(conj c)`` with ``(P_b x)[cols[b, l]] = x[l]``, and it
+    maps line ``(j, k)`` to line ``(rows[a, j], cols[b, k])``.  ``g`` is the
+    character table of an abelian group exactly when both tables exist;
+    otherwise the result is None.  Permuted and rephased Sylvester and Fourier
+    matrices are character tables once dephased, and so is every Hadamard
+    matrix at d = 2 and 3 and every real one at d = 8.
     """
     m = fam.hadamard.matrix
     d = fam.d
@@ -275,31 +254,30 @@ def displacements(fam):
         return None
     shifts = np.zeros((d, d, d), dtype=np.complex128)
     shifts[np.arange(d)[:, None], cols, np.arange(d)[None, :]] = 1.0
-    ops = (c[None, :, None] * g[:, None, :, None]) * shifts[None] * c.conj()
-    return ops.reshape(d * d, d, d), rows, cols
+    ops = ((c[None, :, None] * g[:, None, :, None]) * shifts[None] * c.conj()).reshape(d * d, d, d)
+    perm = (rows[:, None, :, None] * d + cols[None, :, None, :]).reshape(d * d, d * d)
+    ops.setflags(write=False)
+    perm.setflags(write=False)
+    return Displacements(ops=ops, perm=perm)
 
 
 def verify_covariance(fam, tol=DEFAULT_TOL):
-    """Check that every displacement ``D(a, b)`` moves the projectors as its label says.
+    """Check that every displacement ``D_g`` moves the projectors as its label says.
 
-    ``D(a, b)`` must map the projector of line ``(j, k)`` onto that of line
-    ``(rows[a, j], cols[b, k])`` (see :func:`displacements`); at d = 8 over
-    the Sylvester matrix the displacements are the three-qubit Pauli
-    operators and the action is label addition.  A family whose Hadamard
-    matrix is not a character table raises :class:`UnsupportedError`.
-    Comparisons are projective, so phases never enter.
+    ``D_g`` must map the projector of line ``p`` onto that of line
+    ``perm[g, p]`` (see :attr:`SicFamily.displacements`); at d = 8 over the
+    Sylvester matrix the displacements are the three-qubit Pauli operators
+    and the action is label addition.  A family whose Hadamard matrix is not
+    a character table raises :class:`UnsupportedError`.  Comparisons are
+    projective, so phases never enter.
     """
-    group = displacements(fam)
+    group = fam.displacements
     if group is None:
         raise UnsupportedError("covariance check requires a Hadamard matrix that is a character table")
-    ops, rows, cols = group
-    d = fam.d
-    j, k = np.divmod(np.arange(fam.k), d)
     p_states = np.einsum("ni,nj->nij", fam.states, fam.states.conj())
     worst = 0.0
-    for a in range(d):
-        for b in range(d):
-            moved = fam.states @ ops[a * d + b].T
-            p_moved = np.einsum("ni,nj->nij", moved, moved.conj())
-            worst = max(worst, float(np.abs(p_moved - p_states[rows[a, j] * d + cols[b, k]]).max()))
+    for op, targets in zip(group.ops, group.perm):
+        moved = fam.states @ op.T
+        p_moved = np.einsum("ni,nj->nij", moved, moved.conj())
+        worst = max(worst, float(np.abs(p_moved - p_states[targets]).max()))
     return CovarianceReport(covariant=worst <= tol, worst_deviation=worst, tolerance=float(tol))

@@ -595,6 +595,23 @@ def test_zero_design_on_a_permuted_sylvester_family(argv, permuted_sylvester_fam
     assert load_json(tmp_path / "zero_design.json")["params"] == [64, 28, 12]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["zero-design"], id="zero-design"),
+        pytest.param(["report", "--restarts", "4", "--samples", "100", "--mc-samples", "100"], id="report"),
+    ],
+)
+def test_zero_pattern_that_is_no_design_fails_a_check(argv, tmp_path):
+    # at v = -3 the twin zero blocks meet in 18 or 20 points: a failed check (exit 1), not a usage error
+    assert run(argv + ["--d", "8", "--v=-3", "--out-dir", str(tmp_path)]) == 1
+    checks = load_json(tmp_path / f"{argv[0].replace('-', '_')}_manifest.json")["checks"]
+    (design,) = [c for c in checks if c["name"] == "design_parameters"]
+    assert not design["pass"]
+    assert not any(c["name"] in ZERO_DESIGN_CHECKS[1:] for c in checks)
+    assert not (tmp_path / "zero_design.json").exists()
+
+
 def test_info_power_d8_at_eight_restarts(tmp_path):
     # batch 0 holds a global minimizer at this seed, and its orbit under the
     # displacement group is all 64 twin lines

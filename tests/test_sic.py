@@ -6,20 +6,22 @@ import pytest
 from hoggar import (
     ADMISSIBLE_V,
     InvalidArgumentError,
-    PauliLabel,
+    OptimizerConfig,
     UnsupportedError,
     all_overlap_tables,
+    capacity_search,
     conjugate_set,
     fourier_matrix,
     hadamard_sic_family,
-    pauli_operator,
+    hoggar_family,
     projector_distance,
     sylvester_hadamard,
     verify_covariance,
     verify_sic,
+    zero_blocks,
 )
+from hoggar import sic
 from hoggar.algebra import HadamardMatrix
-from hoggar.sic import displacements
 
 SQRT3 = math.sqrt(3.0)
 
@@ -181,41 +183,39 @@ def test_conjugation_preserves_overlap_magnitudes(hoggar_v, hoggar_vbar):
     assert np.abs(gram_v - gram_vbar).max() < 1e-12
 
 
-def test_pauli_operator_basics():
-    identity = pauli_operator(PauliLabel.from_ints(0, 0))
-    assert np.array_equal(identity, np.eye(8))
-    x_last = pauli_operator(PauliLabel.from_ints(0, 1))
+def test_pauli_operator_basics(hoggar_v):
+    # over Sylvester the displacement D(a, b) is the three-qubit Pauli operator of label (a, b)
+    ops = hoggar_v.displacements.ops
+    assert np.array_equal(ops[0], np.eye(8))
     perm = np.zeros((8, 8))
     for i in range(8):
         perm[i ^ 1, i] = 1
-    assert np.array_equal(x_last.real, perm)
+    assert np.array_equal(ops[1].real, perm)
     for a in range(8):
         for b in range(8):
-            op = pauli_operator(PauliLabel.from_ints(a, b))
+            op = ops[a * 8 + b]
             assert np.abs(op @ op.conj().T - np.eye(8)).max() < 1e-14
             square = op @ op
             sign = (-1) ** bin(a & b).count("1")
             assert np.abs(square - sign * np.eye(8)).max() < 1e-14
-    with pytest.raises(UnsupportedError):
-        pauli_operator(PauliLabel.from_ints(0, 0), d=4)
 
 
 def test_covariance_both_twins(hoggar_v, hoggar_vbar):
     for fam in (hoggar_v, hoggar_vbar):
         report = verify_covariance(fam)
         assert report.covariant
-        assert report.worst_deviation < 1e-12
+        # every d = 8 displacement is a signed permutation, so the check is exact
+        assert report.worst_deviation == 0.0
 
 
 def test_covariance_composition(hoggar_v):
-    # acting with g then h moves vectors the same way as g + h, projectively
-    g = PauliLabel.from_ints(3, 5)
-    h = PauliLabel.from_ints(6, 1)
-    op_g, op_h = pauli_operator(g), pauli_operator(h)
-    op_sum = pauli_operator(g + h)
-    for idx in (0, 17, 42):
-        psi = hoggar_v.states[idx]
-        assert projector_distance(op_h @ (op_g @ psi), op_sum @ psi) < 1e-12
+    # perm is the group law: D_h D_g = D_(perm[h, g]) up to a unit phase, for all 64^2 pairs
+    ops, perm = hoggar_v.displacements.ops, hoggar_v.displacements.perm
+    products = np.einsum("hij,gjk->hgik", ops, ops)
+    targets = ops[perm]
+    phases = np.einsum("hgij,hgij->hg", targets.conj(), products) / 8
+    assert np.abs(np.abs(phases) - 1.0).max() < 1e-12
+    assert np.abs(products - phases[..., None, None] * targets).max() < 1e-12
 
 
 def _permuted_rephased_fourier3():
@@ -244,30 +244,55 @@ def group_family(request, permuted_sylvester_family):
 def test_displacements_permute_the_lines(group_family):
     fam = group_family
     d = fam.d
-    ops, rows, cols = displacements(fam)
+    ops, perm = fam.displacements.ops, fam.displacements.perm
     assert ops.shape == (d * d, d, d)
-    for table in (rows, cols):
-        assert (np.sort(table, axis=1) == np.arange(d)).all()
-    for a in range(d):
-        for b in range(d):
-            op = ops[a * d + b]
-            assert np.abs(op @ op.conj().T - np.eye(d)).max() < 1e-12
-            for j in range(d):
-                for k in range(d):
-                    moved = op @ fam.states[j * d + k]
-                    target = fam.states[rows[a, j] * d + cols[b, k]]
-                    assert projector_distance(moved, target) < 1e-12
+    # the group acts regularly: each row and each column of perm is a permutation, and D_g sends line 0 to g
+    assert (np.sort(perm, axis=1) == np.arange(d * d)).all()
+    assert (np.sort(perm, axis=0) == np.arange(d * d)[:, None]).all()
+    assert np.array_equal(perm[:, 0], np.arange(d * d))
+    for op, targets in zip(ops, perm):
+        assert np.abs(op @ op.conj().T - np.eye(d)).max() < 1e-12
+        for p, target in enumerate(targets):
+            assert projector_distance(op @ fam.states[p], fam.states[target]) < 1e-12
     report = verify_covariance(fam)
     assert report.covariant and report.worst_deviation < 1e-12
 
 
 def test_displacements_are_the_pauli_operators_over_sylvester(hoggar_v):
-    ops, rows, cols = displacements(hoggar_v)
+    # reference: Z^a_i X^b_i on qubit i, tensored most significant bit first
+    x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+    z = np.diag([1, -1]).astype(np.complex128)
+
+    def pauli(a, b):
+        factors = [np.linalg.matrix_power(z, a >> i & 1) @ np.linalg.matrix_power(x, b >> i & 1) for i in (2, 1, 0)]
+        return np.kron(np.kron(factors[0], factors[1]), factors[2])
+
+    ops, perm = hoggar_v.displacements.ops, hoggar_v.displacements.perm
     for a in range(8):
         for b in range(8):
-            assert np.array_equal(ops[a * 8 + b], pauli_operator((a, b)))
-    labels = np.arange(8)
-    assert np.array_equal(rows, labels[:, None] ^ labels) and np.array_equal(cols, rows)
+            assert np.array_equal(ops[a * 8 + b], pauli(a, b))
+    labels = np.arange(64)
+    assert np.array_equal(perm, labels[:, None] ^ labels)
+
+
+def test_displacements_are_built_once_and_shared(monkeypatch):
+    build, builds = sic._displacements, []
+
+    def counted(fam):
+        builds.append(fam)
+        return build(fam)
+
+    monkeypatch.setattr(sic, "_displacements", counted)
+    fam = hoggar_family()
+    verify_covariance(fam)
+    design = zero_blocks(fam, conjugate_set(fam))
+    capacity_search(fam, OptimizerConfig(restarts=8, seed=1))
+    assert len(builds) == 1 and builds[0] is fam
+    assert design.law is fam.displacements.perm
+    # three consumers share the arrays, so none may write to them
+    for array in (fam.displacements.ops, fam.displacements.perm):
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 def test_covariance_requires_a_character_table():
@@ -276,7 +301,7 @@ def test_covariance_requires_a_character_table():
     z = np.exp(0.4j)
     matrix = np.array([[1, 1, 1, 1], [1, 1j * z, -1, -1j * z], [1, -1, 1, -1], [1, -1j * z, -1, 1j * z]])
     fam = hadamard_sic_family(matrix, 0)
-    assert displacements(fam) is None
+    assert fam.displacements is None
     with pytest.raises(UnsupportedError, match="character table"):
         verify_covariance(fam)
 
