@@ -17,16 +17,16 @@ batch is scheduled.
 
 from __future__ import annotations
 
-import copy
 import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .algebra import _plain
 from .errors import InvalidArgumentError
 from .infotheory import Ensemble, Measurement, _measurement, eta, mutual_information
-from .sic import SicFamily
+from .sic import SicFamily, _projector, _projector_distances
 
 GRAD_FLOOR = 1e-14
 ARMIJO_C = 1e-4
@@ -117,41 +117,28 @@ def _normalize_rows(x):
 def haar_blocks(d, rng, n):
     """Yield ``(rows, states)``: n Haar-uniform unit vectors, one :func:`row_blocks` slice at a time.
 
-    Every row is bit for bit that row of the one-shot, row-normalized
-    ``standard_normal((n, d)) + 1j * standard_normal((n, d))``, in memory that
-    does not grow with n: a copy of ``rng`` discards the n * d real parts
-    (ziggurat normals take a variable number of bits, so no skip-ahead can),
-    then draws each block's imaginary parts while ``rng`` draws its real parts.
-    With the last block ``rng`` takes the copy's state, the one-shot final state.
+    Each block is one :func:`random_pure_state` call, so the rows and the
+    final generator state are those of ``random_pure_state(d, rng, size=n)``
+    in memory that does not grow with n.
     """
-    imag = copy.deepcopy(rng)
-    blocks = row_blocks(n)
-    discard = np.empty((min(n, ROW_BLOCK), d))
-    for rows in blocks:
-        imag.standard_normal(out=discard[: rows.stop - rows.start])
-    for rows in blocks:
-        shape = (rows.stop - rows.start, d)
-        z = _normalize_rows(rng.standard_normal(shape) + 1j * imag.standard_normal(shape))
-        if rows.stop == n:
-            rng.bit_generator.state = imag.bit_generator.state
-        yield rows, z
+    rng = np.random.default_rng(rng)
+    for rows in row_blocks(n):
+        yield rows, random_pure_state(d, rng, rows.stop - rows.start)
 
 
 def random_pure_state(d, rng, size=None):
     """Haar-uniform unit vector(s): normalized i.i.d. standard complex Gaussians.
 
-    One ``standard_normal((2, size, d))`` call draws all real parts and then
-    all imaginary parts, so the rows and the final generator state are those
-    of :func:`haar_blocks`, which streams the same draw in bounded memory.
+    One ``standard_normal((size, 2, d))`` call gives each state its d real
+    parts and then its d imaginary parts, so the first k rows of a draw are a
+    size-k draw from the same generator, and a draw takes 2 * size * d normals.
     """
-    if d < 2:
-        raise InvalidArgumentError("dimension must be >= 2")
+    if not _is_integer(d) or d < 2:
+        raise InvalidArgumentError(f"dimension must be an integer >= 2, got {_plain(d)!r}")
     if size is not None and (not _is_integer(size) or size < 0):
         raise InvalidArgumentError(f"size must be a non-negative integer, got {size}")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    x = rng.standard_normal((2, 1 if size is None else int(size), d))
-    z = _normalize_rows(x[0] + 1j * x[1])
+    x = np.random.default_rng(rng).standard_normal((1 if size is None else int(size), 2, d))
+    z = _normalize_rows(x[:, 0] + 1j * x[:, 1])
     return z[0] if size is None else z
 
 
@@ -276,7 +263,11 @@ def _descend(m, psi_rows, cfg=None):
 
 
 def _restart_states(m, cfg, offset):
-    """The restart batch: row i is :func:`random_pure_state` of the generator ``(seed, offset + i)``."""
+    """The restart batch: row i is :func:`random_pure_state` of the generator ``(seed, offset + i)``.
+
+    The rows' normals fill one ``(restarts, 2, d)`` array, in the layout of a
+    :func:`random_pure_state` draw, and are normalized together.
+    """
     if m.d < 2:
         raise InvalidArgumentError("dimension must be >= 2")
     x = np.empty((cfg.restarts, 2, m.d))
@@ -381,22 +372,6 @@ def blahut_arimoto(Q, tol=1e-12, max_iters=100000):
 
 
 VALUE_MARGIN = 1e-7
-
-
-def _projector(x):
-    """Rank-one projector of ``x``, formed as :func:`hoggar.sic.projector_distance` forms it."""
-    x = np.asarray(x, dtype=np.complex128)
-    x = x / np.linalg.norm(x)
-    return np.outer(x, x.conj())
-
-
-def _projector_distances(projectors, proj):
-    """:func:`hoggar.sic.projector_distance` from each of a ``(n, d, d)`` stack to ``proj``.
-
-    The entrywise differences and their exact maximum are the same float
-    operations, so every comparison against ``DEDUP_DISTANCE`` agrees.
-    """
-    return np.abs(projectors - proj).max(axis=(1, 2))
 
 
 def _merge_lines(states, weights):

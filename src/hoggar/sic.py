@@ -196,13 +196,21 @@ def all_overlap_tables(fam_v, fam_vbar):
     return np.abs(fam_vbar.raw.conj() @ fam_v.raw.T) ** 2
 
 
+def _projector(x):
+    """Rank-one projector of the normalized ``x``."""
+    x = np.asarray(x, dtype=np.complex128)
+    x = x / np.linalg.norm(x)
+    return np.outer(x, x.conj())
+
+
+def _projector_distances(projectors, proj):
+    """Entrywise-max distance from each projector of a ``(n, d, d)`` stack to ``proj``."""
+    return np.abs(projectors - proj).max(axis=(1, 2))
+
+
 def projector_distance(x, y):
     """Entrywise-max distance between the rank-one projectors of unit vectors."""
-    x = np.asarray(x, dtype=np.complex128)
-    y = np.asarray(y, dtype=np.complex128)
-    x = x / np.linalg.norm(x)
-    y = y / np.linalg.norm(y)
-    return float(np.abs(np.outer(x, x.conj()) - np.outer(y, y.conj())).max())
+    return float(_projector_distances(_projector(x)[None], _projector(y))[0])
 
 
 @dataclass(frozen=True)

@@ -56,11 +56,12 @@ def rng():
 
 @pytest.fixture(scope="session")
 def one_shot_haar():
-    """The one-shot Haar draw that the streamed sampler must reproduce bit for bit."""
+    """The one-shot Haar draw, each state's d real parts then its d imaginary parts, that the sampler must reproduce bit for bit."""
 
     def draw(d, rng, size=None):
         n = 1 if size is None else int(size)
-        z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        x = rng.standard_normal((n, 2, d))
+        z = x[:, 0] + 1j * x[:, 1]
         z /= np.linalg.norm(z, axis=1)[:, None]
         return z[0] if size is None else z
 

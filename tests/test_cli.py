@@ -9,7 +9,7 @@ import pytest
 from hoggar import optimize, sic
 from hoggar.cli import Run, _oracles, _statistics, build_parser, run
 from hoggar.infotheory import Measurement, eta, outcome_matrix
-from hoggar.optimize import row_blocks
+from hoggar.optimize import ROW_BLOCK, haar_blocks, row_blocks
 from hoggar.serialize import dumps, load_json
 
 
@@ -302,6 +302,18 @@ def test_sampling_checks_match_full_arrays(tmp_path, one_shot_haar):
     mc, se = float(u.mean()), float(u.std(ddof=1) / math.sqrt(n))
     check = next(c for c in _oracles(report, None) if c.name == "haar_moment_monte_carlo")
     assert (check.value, check.tolerance) == (mc, 3 * se)
+
+
+def test_moment_draw_is_the_haar_sweep_draw():
+    # the oracle's rows of 2 * d normals, as complex states, are the rows haar_blocks
+    # draws from the same generator: d real parts, then d imaginary parts per state
+    n, d = 2 * ROW_BLOCK + 1, 8
+    rng = np.random.default_rng((1, 2**33))
+    x = np.concatenate([rng.standard_normal((rows.stop - rows.start, 2 * d)) for rows in row_blocks(n)])
+    b = x[:, :d] + 1j * x[:, d:]
+    b /= np.linalg.norm(b, axis=1)[:, None]
+    for rows, states in haar_blocks(d, np.random.default_rng((1, 2**33)), n):
+        assert np.array_equal(states.view(np.float64), b[rows].view(np.float64))
 
 
 def test_statistics_carry_a_nan_through_the_running_reductions(tmp_path, monkeypatch):

@@ -89,12 +89,68 @@ def test_haar_blocks_stream_the_one_shot_draw(d, n, one_shot_haar):
     assert streamed_rng.bit_generator.state == one_shot_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("d", [2, 3, 8])
+@pytest.mark.parametrize("k, n", [(1, 2), (1, ROW_BLOCK + 1), (5, ROW_BLOCK), (ROW_BLOCK, 3 * ROW_BLOCK + 1)])
+def test_random_pure_state_prefix_is_a_smaller_draw(d, k, n):
+    full = random_pure_state(d, np.random.default_rng((7, d)), size=n)
+    prefix = random_pure_state(d, np.random.default_rng((7, d)), size=k)
+    assert np.array_equal(full[:k].view(np.float64), prefix.view(np.float64))
+    single = random_pure_state(d, np.random.default_rng((7, d)))
+    assert np.array_equal(full[0].view(np.float64), single.view(np.float64))
+
+
+@pytest.mark.parametrize("n", [ROW_BLOCK - 1, ROW_BLOCK + 1, 2 * ROW_BLOCK, 3 * ROW_BLOCK + 1])
+def test_haar_blocks_rows_are_one_random_pure_state_draw(n):
+    d = 3
+    expected = random_pure_state(d, np.random.default_rng((8, n)), size=n)
+    rng, blockwise = np.random.default_rng((8, n)), np.random.default_rng((8, n))
+    for rows, states in haar_blocks(d, rng, n):
+        assert np.array_equal(states.view(np.float64), expected[rows].view(np.float64))
+        block = random_pure_state(d, blockwise, size=rows.stop - rows.start)
+        assert np.array_equal(states.view(np.float64), block.view(np.float64))
+
+
+def test_haar_blocks_seed_one_generator():
+    n = 2 * ROW_BLOCK + 1
+    streamed = np.concatenate([states for _, states in haar_blocks(2, 11, n)])
+    assert np.array_equal(streamed.view(np.float64), random_pure_state(2, 11, size=n).view(np.float64))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1])
+def test_haar_draws_take_two_normals_per_coordinate(n):
+    d = 8
+    reference = np.random.default_rng(9)
+    reference.standard_normal(2 * n * d)
+    drawn, streamed = np.random.default_rng(9), np.random.default_rng(9)
+    random_pure_state(d, drawn, size=n)
+    for rows, _ in haar_blocks(d, streamed, n):
+        # each block has taken its own 2 * rows * d normals and no more
+        so_far = np.random.default_rng(9)
+        so_far.standard_normal(2 * rows.stop * d)
+        assert streamed.bit_generator.state == so_far.bit_generator.state
+    assert drawn.bit_generator.state == reference.bit_generator.state
+    assert streamed.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("offset", [0, 7])
+def test_restart_rows_are_single_random_pure_states(hoggar_v, offset):
+    cfg = OptimizerConfig(restarts=5, seed=3)
+    batch = _optimize._restart_states(Measurement(hoggar_v), cfg, offset)
+    for i, row in enumerate(batch):
+        psi = random_pure_state(8, np.random.default_rng((cfg.seed, offset + i)))
+        assert np.array_equal(row.view(np.float64), psi.view(np.float64))
+
+
 def test_random_pure_state_checks_size():
     for size in (-1, 2.5, "3", True):
         with pytest.raises(InvalidArgumentError, match="size must be a non-negative integer"):
             random_pure_state(3, 1, size=size)
     assert random_pure_state(3, 1, size=0).shape == (0, 3)
     assert random_pure_state(3, 1, size=np.int64(2)).shape == (2, 3)
+    for d, shown in ((1, "1"), (2.5, "2.5"), (np.float64(3.0), "3.0"), ("3", "'3'"), (None, "None"), (True, "True")):
+        with pytest.raises(InvalidArgumentError, match=f"^dimension must be an integer >= 2, got {shown}$"):
+            random_pure_state(d, 1)
+    assert random_pure_state(np.int64(3), 1).shape == (3,)
 
 
 def test_random_pure_state_moments(rng):
@@ -288,7 +344,12 @@ def _seed_blahut_arimoto(Q, tol, max_iters):
 def test_blahut_arimoto_bit_identical_with_subnormal_priors(tetra_v, tetra_vbar):
     # twins plus random states under the tetrahedral SIC: seven priors decay
     # into the subnormal range before the bounds pinch at ~7000 iterations
-    pool = np.vstack([tetra_vbar.states, random_pure_state(2, np.random.default_rng(8), size=12)])
+    # the 12 random states in the order random_pure_state drew them before it
+    # drew state by state: all real parts, then all imaginary parts
+    x = np.random.default_rng(8).standard_normal((2, 12, 2))
+    randoms = x[0] + 1j * x[1]
+    randoms /= np.linalg.norm(randoms, axis=1)[:, None]
+    pool = np.vstack([tetra_vbar.states, randoms])
     channel = outcome_matrix(pool, tetra_v)
     for layout in (np.ascontiguousarray(channel), np.asfortranarray(channel)):
         ref = _seed_blahut_arimoto(layout, tol=1e-13, max_iters=20000)
