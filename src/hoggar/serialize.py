@@ -33,44 +33,49 @@ def format_float(x):
     return _FLOAT % x
 
 
-# scalars of exactly these types skip the isinstance chain of _scalar
+_quote = json.encoder.encode_basestring_ascii  # the text json.dumps gives a str
+# simple scalars of exactly these types skip the isinstance chain of _scalar
 _EXACT = {
     float: format_float,
     int: str,
     bool: lambda x: "true" if x else "false",
-    str: json.dumps,
-    type(None): lambda x: "null",
+    str: _quote,
 }
 _SIMPLE = (bool, int, float, str, np.integer, np.floating)
 
 
-def _emit(obj, indent, level):
+def _emit(obj, pad, step):
+    """The JSON text of ``obj``, whose lines open with ``pad``; ``step`` indents each level below."""
+    exact = _EXACT.get(type(obj))
+    if exact is not None:
+        return exact(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        pad = " " * (indent * level)
-        pad_in = pad + " " * indent
-        body = (",\n" + pad_in).join(
-            json.dumps(str(key)) + ": " + _emit(value, indent, level + 1) for key, value in obj.items()
-        )
-        return "{\n" + pad_in + body + "\n" + pad + "}"
+        inner = pad + step
+        items = [_quote(str(key)) + ": " + _emit(value, inner, step) for key, value in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        # at most 8 numbers, bools or strings go on one line (an np.bool_ is none of them)
-        if len(obj) <= 8 and all(isinstance(x, _SIMPLE) for x in obj):
-            return "[" + ", ".join(map(_scalar, obj)) + "]"
-        pad = " " * (indent * level)
-        pad_in = pad + " " * indent
-        body = (",\n" + pad_in).join(_emit(value, indent, level + 1) for value in obj)
-        return "[\n" + pad_in + body + "\n" + pad + "]"
+        # at most 8 numbers, bools or strings go on one line (None and an np.bool_ are none of them)
+        if len(obj) <= 8:
+            texts = []
+            for x in obj:
+                exact = _EXACT.get(type(x))
+                if exact is None:
+                    if not isinstance(x, _SIMPLE):
+                        break
+                    exact = _scalar
+                texts.append(exact(x))
+            else:
+                return "[" + ", ".join(texts) + "]"
+        inner = pad + step
+        return "[" + inner + ("," + inner).join([_emit(value, inner, step) for value in obj]) + pad + "]"
     return _scalar(obj)
 
 
 def _scalar(x):
-    exact = _EXACT.get(type(x))
-    if exact is not None:
-        return exact(x)
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -78,7 +83,7 @@ def _scalar(x):
     if isinstance(x, (float, np.floating)):
         return format_float(x)
     if isinstance(x, str):
-        return json.dumps(x)
+        return _quote(x)
     if x is None:
         return "null"
     raise InvalidArgumentError(f"cannot serialize value of type {type(x).__name__}")
@@ -86,7 +91,7 @@ def _scalar(x):
 
 def dumps(obj, indent=2):
     """Deterministic JSON text: insertion-ordered keys, floats at 17 digits."""
-    return _emit(obj, indent, 0) + "\n"
+    return _emit(obj, "\n", " " * indent) + "\n"
 
 
 def dump_json(obj, path):
@@ -103,24 +108,37 @@ def load_json(path):
 def write_csv(path, rows, header=None):
     """Write the 2-D int, bool or float array ``rows``, floats at 17 digits and bools as 0/1.
 
-    The text is formatted before the file is opened, so a non-finite float leaves no file.
+    When a value repeats, each distinct value is formatted once and the rows
+    are joined from those texts; floats are told apart by their 64-bit
+    pattern, so ``-0.0`` keeps its own text.  The text is formatted before
+    the file is opened, so a non-finite float leaves no file.
     """
     rows = np.asarray(rows)
     if rows.ndim != 2 or rows.dtype.kind not in "biuf":
         raise InvalidArgumentError("CSV rows must be a 2-D array of numbers")
-    lines = [] if header is None else [",".join(str(h) for h in header) + "\n"]
+    n, k = rows.shape
     if rows.dtype.kind == "f":
-        if not np.isfinite(rows).all():
+        values = rows.astype(np.float64, copy=False).ravel()
+        if not np.isfinite(values).all():
             raise InvalidArgumentError("cannot serialize non-finite float")
-        line = ",".join([_FLOAT] * rows.shape[1]) + "\n"  # one % operation formats a row
-        lines.extend(line % tuple(row) for row in rows.tolist())
+        bits, cell = values.view(np.uint64), _FLOAT
     else:
-        if rows.dtype.kind == "b":
-            rows = rows.astype(np.int64)
-        lines.extend(",".join(map(str, row)) + "\n" for row in rows.tolist())
-    text = "".join(lines)
+        values = (rows.astype(np.int64) if rows.dtype.kind == "b" else rows).ravel()
+        bits, cell = values, "%d"
+    ordered = np.sort(bits)
+    if (ordered[1:] == ordered[:-1]).any():
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        distinct = distinct.view(values.dtype)
+        # one % operation formats the distinct values; no text it makes holds a comma
+        texts = (((cell + ",") * distinct.size) % tuple(distinct.tolist())).split(",")
+        cells = np.array(texts, dtype=object)[inverse.reshape(n, k)].tolist()
+        body = "".join([",".join(row) + "\n" for row in cells])
+    else:
+        body = ((",".join([cell] * k) + "\n") * n) % tuple(values.tolist())
+    head = "" if header is None else ",".join(str(h) for h in header) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(head)
+        fh.write(body)
 
 
 def complex_to_pair(z):
@@ -129,16 +147,16 @@ def complex_to_pair(z):
 
 
 def _field(data, key, where, kind):
-    """``data[key]`` of the JSON object ``where``, of type ``kind``; else an InvalidArgumentError."""
+    """``data[key]`` of the JSON object ``where``, of type ``kind`` and never a bool; else an InvalidArgumentError."""
     if not isinstance(data, dict):
         raise InvalidArgumentError(f"{where} must be a JSON object")
-    if key not in data or not isinstance(data[key], kind):
+    if key not in data or not isinstance(data[key], kind) or isinstance(data[key], bool):
         raise InvalidArgumentError(f"{where}.{key} is missing or not of type {kind.__name__}")
     return data[key]
 
 
 def _finite(x, where):
-    if not (isinstance(x, (int, float)) and abs(x) <= sys.float_info.max):
+    if not (isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max):
         raise InvalidArgumentError(f"{where} must hold finite numbers")
     return float(x)
 
@@ -147,6 +165,27 @@ def pair_to_complex(pair, where="value"):
     if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
         raise InvalidArgumentError(f"{where} must be a [re, im] pair")
     return complex(_finite(pair[0], where), _finite(pair[1], where))
+
+
+def _pair_array(pairs):
+    """The list ``pairs`` as a complex array, or None unless one vectorised check passes.
+
+    The check: every item is a list or tuple of two JSON numbers (an int or a
+    float, never a bool) below the largest float in magnitude.  None sends
+    the caller to :func:`pair_to_complex` on each item, which names the fault.
+    """
+    if not {type(p) for p in pairs} <= {list, tuple}:
+        return None
+    parts = np.array(pairs, dtype=object)
+    if parts.shape != (len(pairs), 2) or not set(map(type, parts.ravel().tolist())) <= {int, float}:
+        return None
+    try:
+        parts = parts.astype(np.float64)
+    except OverflowError:  # an int beyond the float range
+        return None
+    if not (np.abs(parts) < sys.float_info.max).all():
+        return None
+    return parts.view(np.complex128).ravel()
 
 
 def matrix_to_dict(arr):
@@ -160,10 +199,13 @@ def matrix_to_dict(arr):
 
 def matrix_from_dict(data, where="matrix"):
     rows, cols = _field(data, "rows", where, int), _field(data, "cols", where, int)
-    entries = [pair_to_complex(p, f"{where}.entries") for p in _field(data, "entries", where, list)]
-    if rows < 1 or cols < 1 or len(entries) != rows * cols:
+    pairs = _field(data, "entries", where, list)
+    entries = _pair_array(pairs)
+    if entries is None:
+        entries = np.array([pair_to_complex(p, f"{where}.entries") for p in pairs], dtype=np.complex128)
+    if rows < 1 or cols < 1 or entries.size != rows * cols:
         raise InvalidArgumentError(f"{where}: entry count does not match its shape")
-    return np.array(entries, dtype=np.complex128).reshape(rows, cols)
+    return entries.reshape(rows, cols)
 
 
 def hadamard_to_dict(h):
@@ -195,12 +237,47 @@ def family_to_dict(fam):
     }
 
 
+def _vectors_agree(stored, fam):
+    """Whether ``stored`` holds the family's vectors, in one vectorised check.
+
+    Every item must be a JSON object whose int labels ``j``, ``k`` (never
+    bools) follow the row order and whose ``coords`` list holds d pairs that
+    :func:`_pair_array` accepts, within 1e-12 of the construction.
+    """
+    if {type(vec) for vec in stored} != {dict}:
+        return False
+    try:
+        labels = [(vec["j"], vec["k"]) for vec in stored]
+        coords = [vec["coords"] for vec in stored]
+    except KeyError:
+        return False
+    if {type(x) for label in labels for x in label} != {int} or labels != [divmod(i, fam.d) for i in range(fam.k)]:
+        return False
+    if {type(c) for c in coords} != {list} or {len(c) for c in coords} != {fam.d}:
+        return False
+    values = _pair_array([p for c in coords for p in c])
+    return values is not None and np.abs(values.reshape(fam.raw.shape) - fam.raw).max() <= 1e-12
+
+
 def family_from_dict(data):
+    """The family that ``data`` describes, rebuilt from its Hadamard matrix and ``v``.
+
+    The stored vectors must agree with the construction.  A list that fails
+    the vectorised check of :func:`_vectors_agree` goes to
+    :func:`_check_vectors`, which names the first fault.
+    """
     hadamard = hadamard_from_dict(_field(data, "hadamard", "family", dict), "family.hadamard")
     fam = hadamard_sic_family(hadamard, pair_to_complex(_field(data, "v", "family", list), "family.v"))
     stored = _field(data, "vectors", "family", list)
     if len(stored) != fam.k:
         raise InvalidArgumentError(f"family.vectors holds {len(stored)} vectors, not d^2 = {fam.k}")
+    if not _vectors_agree(stored, fam):
+        _check_vectors(stored, fam)
+    return fam
+
+
+def _check_vectors(stored, fam):
+    """Check ``stored`` vector by vector against ``fam``; the first fault raises InvalidArgumentError naming it."""
     for idx, (vec, raw) in enumerate(zip(stored, fam.raw)):
         j, k = divmod(idx, fam.d)
         where = f"family.vectors[{idx}]"
@@ -209,7 +286,6 @@ def family_from_dict(data):
         coords = [pair_to_complex(p, f"{where}.coords") for p in _field(vec, "coords", where, list)]
         if len(coords) != fam.d or np.abs(np.array(coords) - raw).max() > 1e-12:
             raise InvalidArgumentError(f"stored vector ({j},{k}) disagrees with construction")
-    return fam
 
 
 def load_family(path):

@@ -483,6 +483,21 @@ def _tetra_family():
     return family_to_dict(tetrahedral_family())
 
 
+def _hoggar_family_with_booleans(label=False, hadamard=False, coordinate=False):
+    """The Hoggar family dict with JSON booleans where numbers or labels stand, as the flags ask."""
+    from hoggar import hoggar_family
+    from hoggar.serialize import family_to_dict
+
+    data = family_to_dict(hoggar_family())
+    if label:
+        data["vectors"][0].update(j=False, k=False)
+    if hadamard:
+        data["hadamard"]["entries"][0] = [True, 0]
+    if coordinate:
+        data["vectors"][0]["coords"][1] = [True, False]
+    return data
+
+
 @pytest.mark.parametrize(
     "argv, flag, payload",
     [
@@ -508,6 +523,38 @@ def _tetra_family():
         pytest.param(["verify-sic"], "--family", lambda: b"\xff\xfe", id="family-not-utf8"),
         pytest.param(
             ["verify-sic"], "--family", lambda: {**_tetra_family(), "v": [1e200, 0.0]}, id="family-v-huge"
+        ),
+        pytest.param(
+            ["verify-sic"], "--family", lambda: _hoggar_family_with_booleans(True, True, True), id="family-booleans"
+        ),
+        pytest.param(
+            ["verify-sic"], "--family", lambda: _hoggar_family_with_booleans(label=True), id="family-label-false"
+        ),
+        pytest.param(
+            ["verify-sic"], "--family", lambda: _hoggar_family_with_booleans(hadamard=True),
+            id="family-hadamard-entry-true",
+        ),
+        pytest.param(
+            ["verify-sic"], "--family", lambda: _hoggar_family_with_booleans(coordinate=True),
+            id="family-coordinate-true-false",
+        ),
+        pytest.param(
+            ["construct", *TETRA], "--hadamard",
+            lambda: {"rows": 2, "cols": 2, "entries": [[True, 0], [1, 0], [1, 0], [-1, 0]]},
+            id="hadamard-entry-true",
+        ),
+        pytest.param(
+            ["construct", *TETRA], "--hadamard", lambda: {"rows": True, "cols": 1, "entries": [[1, 0]]},
+            id="hadamard-rows-true",
+        ),
+        pytest.param(
+            ["entropy", *TETRA], "--state", lambda: {"kind": "pure", "coords": [[True, 0], [0, 0]]},
+            id="state-coordinate-true",
+        ),
+        pytest.param(
+            ["mutual-info", *TETRA], "--ensemble",
+            lambda: {"weights": [True], "states": [{"kind": "pure", "coords": [[1, 0], [0, 0]]}]},
+            id="ensemble-weight-true",
         ),
     ],
 )
