@@ -194,6 +194,25 @@ def outcome_matrix(states, povm):
     return _measurement(povm).probabilities(np.asarray(states, dtype=np.complex128))[0]
 
 
+def validated_state(state):
+    """``state`` as a read-only complex array: a unit vector, or a Hermitian PSD matrix of unit trace."""
+    s = np.asarray(state, dtype=np.complex128).copy()
+    if not np.isfinite(s).all():
+        raise InvalidArgumentError("states must be finite")
+    if s.ndim == 1:
+        if abs(np.linalg.norm(s) - 1.0) > 1e-10:
+            raise InvalidArgumentError("pure state is not normalized")
+    elif s.ndim == 2:
+        if s.shape[0] != s.shape[1] or abs(np.trace(s).real - 1.0) > 1e-10:
+            raise InvalidArgumentError("density matrix must be square with unit trace")
+        if np.abs(s - s.conj().T).max() > 1e-10 or np.linalg.eigvalsh(s).min() < -1e-10:
+            raise InvalidArgumentError("density matrix must be Hermitian positive semidefinite")
+    else:
+        raise InvalidArgumentError("states must be vectors or matrices")
+    s.setflags(write=False)
+    return s
+
+
 @dataclass(frozen=True)
 class Ensemble:
     """Weighted states: weights on the simplex, states pure vectors or densities."""
@@ -212,26 +231,9 @@ class Ensemble:
             raise InvalidArgumentError(f"weights sum to {float(w.sum())}, not 1")
         if len(self.states) != w.shape[0]:
             raise InvalidArgumentError("weights and states differ in length")
-        frozen = []
-        for s in self.states:
-            s = np.asarray(s, dtype=np.complex128).copy()
-            if not np.isfinite(s).all():
-                raise InvalidArgumentError("states must be finite")
-            if s.ndim == 1:
-                if abs(np.linalg.norm(s) - 1.0) > 1e-10:
-                    raise InvalidArgumentError("pure state is not normalized")
-            elif s.ndim == 2:
-                if s.shape[0] != s.shape[1] or abs(np.trace(s).real - 1.0) > 1e-10:
-                    raise InvalidArgumentError("density matrix must be square with unit trace")
-                if np.abs(s - s.conj().T).max() > 1e-10 or np.linalg.eigvalsh(s).min() < -1e-10:
-                    raise InvalidArgumentError("density matrix must be Hermitian positive semidefinite")
-            else:
-                raise InvalidArgumentError("states must be vectors or matrices")
-            s.setflags(write=False)
-            frozen.append(s)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "states", tuple(frozen))
+        object.__setattr__(self, "states", tuple(validated_state(s) for s in self.states))
 
     @property
     def size(self):

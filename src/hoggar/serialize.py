@@ -3,7 +3,9 @@
 JSON artifacts must be byte-identical across runs with the same inputs, so the
 emitter here formats every float with 17 significant digits and preserves the
 (deliberate) insertion order of keys.  Complex numbers serialize as [re, im]
-pairs; matrices as {"rows", "cols", "entries"} in row-major order.
+pairs; matrices as {"rows", "cols", "entries"} in row-major order.  The
+loaders check each rule of these formats in one place: :func:`_numbers` the
+JSON numbers and :func:`_pairs` the [re, im] pairs, for every file type.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .algebra import HadamardMatrix
 from .errors import InvalidArgumentError
-from .infotheory import Ensemble
+from .infotheory import Ensemble, validated_state
 from .sic import hadamard_sic_family
 
 FORMAT_VERSION = "1"
@@ -150,42 +152,37 @@ def _field(data, key, where, kind):
     """``data[key]`` of the JSON object ``where``, of type ``kind`` and never a bool; else an InvalidArgumentError."""
     if not isinstance(data, dict):
         raise InvalidArgumentError(f"{where} must be a JSON object")
-    if key not in data or not isinstance(data[key], kind) or isinstance(data[key], bool):
+    value = data.get(key)  # a missing key reads as None, which is of no kind asked for
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise InvalidArgumentError(f"{where}.{key} is missing or not of type {kind.__name__}")
-    return data[key]
+    return value
 
 
-def _finite(x, where):
-    if not (isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max):
-        raise InvalidArgumentError(f"{where} must hold finite numbers")
-    return float(x)
+def _numbers(values, where):
+    """The list ``values`` as a float array; each must be an int or a float, never a bool, within the float range.
 
-
-def pair_to_complex(pair, where="value"):
-    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-        raise InvalidArgumentError(f"{where} must be a [re, im] pair")
-    return complex(_finite(pair[0], where), _finite(pair[1], where))
-
-
-def _pair_array(pairs):
-    """The list ``pairs`` as a complex array, or None unless one vectorised check passes.
-
-    The check: every item is a list or tuple of two JSON numbers (an int or a
-    float, never a bool) below the largest float in magnitude.  None sends
-    the caller to :func:`pair_to_complex` on each item, which names the fault.
+    The range is that of the Python numbers: an int just past the largest
+    float is refused, though it converts to that float.  A converted maximum
+    below the largest float settles it; only at the edge are the Python
+    numbers compared.
     """
-    if not {type(p) for p in pairs} <= {list, tuple}:
-        return None
-    parts = np.array(pairs, dtype=object)
-    if parts.shape != (len(pairs), 2) or not set(map(type, parts.ravel().tolist())) <= {int, float}:
-        return None
-    try:
-        parts = parts.astype(np.float64)
-    except OverflowError:  # an int beyond the float range
-        return None
-    if not (np.abs(parts) < sys.float_info.max).all():
-        return None
-    return parts.view(np.complex128).ravel()
+    limit = sys.float_info.max
+    if set(map(type, values)) <= {int, float}:
+        try:
+            array = np.array(values, dtype=np.float64)
+        except OverflowError:  # an int past the range of a float
+            pass
+        else:
+            if np.abs(array).max(initial=0.0) < limit or all(map(limit.__ge__, map(abs, values))):
+                return array
+    raise InvalidArgumentError(f"{where} must hold finite numbers")
+
+
+def _pairs(pairs, where):
+    """The list ``pairs`` of [re, im] pairs as a complex array: the pair shapes are checked, then the numbers."""
+    if not (set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) <= {2}):
+        raise InvalidArgumentError(f"{where} must be a [re, im] pair")
+    return _numbers([x for pair in pairs for x in pair], where).view(np.complex128)
 
 
 def matrix_to_dict(arr):
@@ -199,10 +196,7 @@ def matrix_to_dict(arr):
 
 def matrix_from_dict(data, where="matrix"):
     rows, cols = _field(data, "rows", where, int), _field(data, "cols", where, int)
-    pairs = _field(data, "entries", where, list)
-    entries = _pair_array(pairs)
-    if entries is None:
-        entries = np.array([pair_to_complex(p, f"{where}.entries") for p in pairs], dtype=np.complex128)
+    entries = _pairs(_field(data, "entries", where, list), f"{where}.entries")
     if rows < 1 or cols < 1 or entries.size != rows * cols:
         raise InvalidArgumentError(f"{where}: entry count does not match its shape")
     return entries.reshape(rows, cols)
@@ -217,10 +211,18 @@ def hadamard_to_dict(h):
 
 
 def hadamard_from_dict(data, where="hadamard"):
-    matrix = matrix_from_dict(data, where)
-    h = HadamardMatrix.from_array(matrix)
-    if data.get("is_real") and not h.is_real:
-        raise InvalidArgumentError(f"{where}: matrix flagged real does not have +-1 entries")
+    """The Hadamard matrix of ``data``; its optional ``is_real`` and ``signs`` must match the matrix."""
+    h = HadamardMatrix.from_array(matrix_from_dict(data, where))
+    real = h.is_real
+    flag = data.get("is_real", real)
+    if type(flag) is not bool or flag != real:
+        raise InvalidArgumentError(f"{where}.is_real must be the JSON bool {'true' if real else 'false'}")
+    if "signs" in data:
+        signs = data["signs"]
+        if not real:
+            raise InvalidArgumentError(f"{where}.signs is given for a matrix that is not real")
+        if type(signs) is not list or not set(map(type, signs)) <= {int} or signs != h.signs.ravel().tolist():
+            raise InvalidArgumentError(f"{where}.signs must list the +-1 entries of the matrix row by row")
     return h
 
 
@@ -237,55 +239,37 @@ def family_to_dict(fam):
     }
 
 
-def _vectors_agree(stored, fam):
-    """Whether ``stored`` holds the family's vectors, in one vectorised check.
-
-    Every item must be a JSON object whose int labels ``j``, ``k`` (never
-    bools) follow the row order and whose ``coords`` list holds d pairs that
-    :func:`_pair_array` accepts, within 1e-12 of the construction.
-    """
-    if {type(vec) for vec in stored} != {dict}:
-        return False
-    try:
-        labels = [(vec["j"], vec["k"]) for vec in stored]
-        coords = [vec["coords"] for vec in stored]
-    except KeyError:
-        return False
-    if {type(x) for label in labels for x in label} != {int} or labels != [divmod(i, fam.d) for i in range(fam.k)]:
-        return False
-    if {type(c) for c in coords} != {list} or {len(c) for c in coords} != {fam.d}:
-        return False
-    values = _pair_array([p for c in coords for p in c])
-    return values is not None and np.abs(values.reshape(fam.raw.shape) - fam.raw).max() <= 1e-12
-
-
 def family_from_dict(data):
     """The family that ``data`` describes, rebuilt from its Hadamard matrix and ``v``.
 
-    The stored vectors must agree with the construction.  A list that fails
-    the vectorised check of :func:`_vectors_agree` goes to
-    :func:`_check_vectors`, which names the first fault.
+    The stored vectors must agree with the construction.  Their faults are
+    named in this order: labels and field types in file order, then the pairs
+    and numbers of the first vector at fault, then vector lengths and agreement.
     """
     hadamard = hadamard_from_dict(_field(data, "hadamard", "family", dict), "family.hadamard")
-    fam = hadamard_sic_family(hadamard, pair_to_complex(_field(data, "v", "family", list), "family.v"))
+    fam = hadamard_sic_family(hadamard, _pairs([_field(data, "v", "family", list)], "family.v")[0])
     stored = _field(data, "vectors", "family", list)
     if len(stored) != fam.k:
         raise InvalidArgumentError(f"family.vectors holds {len(stored)} vectors, not d^2 = {fam.k}")
-    if not _vectors_agree(stored, fam):
-        _check_vectors(stored, fam)
-    return fam
-
-
-def _check_vectors(stored, fam):
-    """Check ``stored`` vector by vector against ``fam``; the first fault raises InvalidArgumentError naming it."""
-    for idx, (vec, raw) in enumerate(zip(stored, fam.raw)):
-        j, k = divmod(idx, fam.d)
+    coords = []
+    for idx, vec in enumerate(stored):
         where = f"family.vectors[{idx}]"
-        if _field(vec, "j", where, int) != j or _field(vec, "k", where, int) != k:
+        if (_field(vec, "j", where, int), _field(vec, "k", where, int)) != divmod(idx, fam.d):
             raise InvalidArgumentError("vector labels are out of order")
-        coords = [pair_to_complex(p, f"{where}.coords") for p in _field(vec, "coords", where, list)]
-        if len(coords) != fam.d or np.abs(np.array(coords) - raw).max() > 1e-12:
-            raise InvalidArgumentError(f"stored vector ({j},{k}) disagrees with construction")
+        coords.append(_field(vec, "coords", where, list))
+    try:
+        values = _pairs([pair for vec in coords for pair in vec], "family.vectors")
+    except InvalidArgumentError:
+        for idx, vec in enumerate(coords):  # only to name the first vector at fault
+            _pairs(vec, f"family.vectors[{idx}].coords")
+        raise
+    agree = [len(vec) == fam.d for vec in coords]
+    if all(agree):  # every vector has d coordinates, so compare row by row
+        agree = np.abs(values.reshape(fam.raw.shape) - fam.raw).max(axis=1) <= 1e-12
+    if not np.all(agree):
+        j, k = divmod(int(np.argmin(agree)), fam.d)
+        raise InvalidArgumentError(f"stored vector ({j},{k}) disagrees with construction")
+    return fam
 
 
 def load_family(path):
@@ -304,12 +288,12 @@ def state_to_dict(state):
 
 
 def state_from_dict(data, where="state"):
+    """The state of ``data``, under the rule of :func:`validated_state`: a unit vector or a density matrix."""
     kind = _field(data, "kind", where, str)
     if kind == "pure":
-        coords = _field(data, "coords", where, list)
-        return np.array([pair_to_complex(p, f"{where}.coords") for p in coords], dtype=np.complex128)
+        return validated_state(_pairs(_field(data, "coords", where, list), f"{where}.coords"))
     if kind == "mixed":
-        return matrix_from_dict(_field(data, "matrix", where, dict), f"{where}.matrix")
+        return validated_state(matrix_from_dict(_field(data, "matrix", where, dict), f"{where}.matrix"))
     raise InvalidArgumentError(f"{where}: unknown state kind {kind!r}")
 
 
@@ -321,10 +305,10 @@ def ensemble_to_dict(ensemble):
 
 
 def ensemble_from_dict(data):
-    weights = [_finite(w, "ensemble.weights") for w in _field(data, "weights", "ensemble", list)]
+    weights = _numbers(_field(data, "weights", "ensemble", list), "ensemble.weights")
     states = _field(data, "states", "ensemble", list)
     return Ensemble(
-        weights=np.array(weights),
+        weights=weights,
         states=tuple(state_from_dict(s, f"ensemble.states[{i}]") for i, s in enumerate(states)),
     )
 

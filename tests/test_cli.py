@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hoggar import optimize, sic
+from hoggar import fourier_matrix, optimize, sic, sylvester_hadamard
 from hoggar.cli import Run, _oracles, _statistics, build_parser, run
 from hoggar.infotheory import Measurement, eta, outcome_matrix
 from hoggar.optimize import ROW_BLOCK, haar_blocks, row_blocks
@@ -483,6 +483,18 @@ def _tetra_family():
     return family_to_dict(tetrahedral_family())
 
 
+def _hadamard_file(h, **fields):
+    from hoggar.serialize import hadamard_to_dict
+
+    return {**hadamard_to_dict(h), **fields}
+
+
+def _mixed_state(matrix):
+    from hoggar.serialize import matrix_to_dict
+
+    return {"kind": "mixed", "matrix": matrix_to_dict(np.array(matrix))}
+
+
 def _hoggar_family_with_booleans(label=False, hadamard=False, coordinate=False):
     """The Hoggar family dict with JSON booleans where numbers or labels stand, as the flags ask."""
     from hoggar import hoggar_family
@@ -555,6 +567,24 @@ def _hoggar_family_with_booleans(label=False, hadamard=False, coordinate=False):
             ["mutual-info", *TETRA], "--ensemble",
             lambda: {"weights": [True], "states": [{"kind": "pure", "coords": [[1, 0], [0, 0]]}]},
             id="ensemble-weight-true",
+        ),
+        pytest.param(
+            ["construct", "--d", "3", "--v", "0"], "--hadamard",
+            lambda: _hadamard_file(fourier_matrix(3), is_real="false"), id="hadamard-is-real-string",
+        ),
+        pytest.param(
+            ["construct", "--d", "3", "--v", "0"], "--hadamard",
+            lambda: _hadamard_file(fourier_matrix(3), is_real=1), id="hadamard-is-real-int",
+        ),
+        pytest.param(
+            ["construct", *TETRA], "--hadamard", lambda: _hadamard_file(sylvester_hadamard(1), signs="junk"),
+            id="hadamard-signs-junk",
+        ),
+        pytest.param(
+            ["entropy", *TETRA], "--state", lambda: _mixed_state([[0.5, 1j], [0, 0.5]]), id="state-not-hermitian"
+        ),
+        pytest.param(
+            ["entropy", *TETRA], "--state", lambda: _mixed_state([[1.05, 0], [0, -0.05]]), id="state-not-psd"
         ),
     ],
 )

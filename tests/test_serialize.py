@@ -2,13 +2,21 @@ import json
 import math
 import os
 import statistics
+import sys
 import tempfile
 import time
 
 import numpy as np
 import pytest
 
-from hoggar import InvalidArgumentError, hoggar_family, serialize, tetrahedral_family, uniform_ensemble
+from hoggar import (
+    InvalidArgumentError,
+    fourier_matrix,
+    hoggar_family,
+    sylvester_hadamard,
+    tetrahedral_family,
+    uniform_ensemble,
+)
 from hoggar.serialize import (
     dump_json,
     dumps,
@@ -339,6 +347,52 @@ def test_hadamard_roundtrip():
     assert np.array_equal(back.signs, h.signs)
 
 
+def hadamard_edited(h, **fields):
+    data = hadamard_to_dict(h)
+    data.update(fields)
+    return data
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (hadamard_edited(fourier_matrix(3), is_real="false"), "hadamard.is_real must be the JSON bool false"),
+        (hadamard_edited(fourier_matrix(3), is_real=1), "hadamard.is_real must be the JSON bool false"),
+        (hadamard_edited(fourier_matrix(3), is_real=True), "hadamard.is_real must be the JSON bool false"),
+        (hadamard_edited(sylvester_hadamard(1), is_real=False), "hadamard.is_real must be the JSON bool true"),
+        (hadamard_edited(fourier_matrix(3), signs=[1] * 9), "hadamard.signs is given for a matrix that is not real"),
+        (
+            hadamard_edited(sylvester_hadamard(3), signs="junk"),
+            "hadamard.signs must list the +-1 entries of the matrix row by row",
+        ),
+        (
+            hadamard_edited(sylvester_hadamard(1), signs=[True, True, True, -1]),
+            "hadamard.signs must list the +-1 entries of the matrix row by row",
+        ),
+        (
+            hadamard_edited(sylvester_hadamard(1), signs=[1, 1, -1, 1]),
+            "hadamard.signs must list the +-1 entries of the matrix row by row",
+        ),
+    ],
+    ids=[
+        "is-real-string", "is-real-int", "is-real-true-on-complex", "is-real-false-on-real",
+        "signs-on-complex", "signs-junk", "signs-bools", "signs-wrong",
+    ],
+)
+def test_hadamard_flags_must_match_the_matrix(data, message):
+    with pytest.raises(InvalidArgumentError) as raised:
+        hadamard_from_dict(data)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("h", [fourier_matrix(3), sylvester_hadamard(3)], ids=["complex", "real"])
+def test_hadamard_flags_are_optional(h):
+    data = hadamard_to_dict(h)
+    for minimal in ({key: data[key] for key in ("rows", "cols", "entries")}, data):
+        back = hadamard_from_dict(json.loads(dumps(minimal)))
+        assert back.is_real == h.is_real and np.array_equal(back.matrix, h.matrix)
+
+
 def test_family_roundtrip():
     fam = hoggar_family()
     data = family_to_dict(fam)
@@ -466,6 +520,26 @@ def test_malformed_family_raises_the_validator_message(edits, message):
     assert str(raised.value) == message
 
 
+def test_several_faults_name_the_first_in_the_loader_order():
+    # labels and field types are read over every vector before any coordinate is compared
+    data = tetra_edited((["vectors", 1, "coords", 0], [9.0, 0.0]), (["vectors", 3, "k"], 1.0))
+    with pytest.raises(InvalidArgumentError) as raised:
+        family_from_dict(data)
+    assert str(raised.value) == "family.vectors[3].k is missing or not of type int"
+    # then the pairs and numbers of the first vector at fault, then the lengths and agreement
+    data = tetra_edited(
+        (["vectors", 1, "coords", 0], [9.0, 0.0]), (["vectors", 2, "coords", 1], DELETE),
+        (["vectors", 3, "coords", 1], [1, 0, 0]),
+    )
+    with pytest.raises(InvalidArgumentError) as raised:
+        family_from_dict(data)
+    assert str(raised.value) == "family.vectors[3].coords must be a [re, im] pair"
+    del data["vectors"][3]["coords"][1][2]
+    with pytest.raises(InvalidArgumentError) as raised:
+        family_from_dict(data)
+    assert str(raised.value) == "stored vector (1,0) disagrees with construction"
+
+
 def test_family_that_is_no_object_is_refused():
     with pytest.raises(InvalidArgumentError) as raised:
         family_from_dict([family_to_dict(tetrahedral_family())])
@@ -480,8 +554,10 @@ def test_family_that_is_no_object_is_refused():
         ([[1, 0], (1, 0)], None),  # a tuple is a pair too
         ([[1, 0], [1.7976931348623157e308, 0]], None),  # the largest float, accepted by the validator
         ([[1, 0], [2**1023, 0]], None),
+        # one past the largest float, which a float64 conversion would round down to it
+        ([[1, 0], [int(sys.float_info.max) + 1, 0]], "matrix.entries must hold finite numbers"),
     ],
-    ids=["bool", "long-pair", "tuple", "largest-float", "big-int"],
+    ids=["bool", "long-pair", "tuple", "largest-float", "big-int", "int-past-largest-float"],
 )
 def test_matrix_entries_the_vectorised_check_refuses_go_to_the_validator(entries, message):
     data = {"rows": 1, "cols": 2, "entries": entries}
@@ -499,19 +575,7 @@ def test_matrix_size_must_not_be_a_bool():
     assert str(raised.value) == "matrix.rows is missing or not of type int"
 
 
-def test_well_formed_families_pass_the_vectorised_check(fourier3_families, permuted_sylvester_family, monkeypatch):
-    def no_validator(*args):
-        raise AssertionError("the per-field validator ran on a well-formed family")
-
-    checked = []
-
-    def only_v(pair, where="value"):
-        checked.append(where)
-        return pair_to_complex(pair, where)
-
-    pair_to_complex = serialize.pair_to_complex
-    monkeypatch.setattr(serialize, "_check_vectors", no_validator)
-    monkeypatch.setattr(serialize, "pair_to_complex", only_v)
+def test_well_formed_families_pass_the_vectorised_check(fourier3_families, permuted_sylvester_family):
     for fam in [tetrahedral_family(), *fourier3_families, hoggar_family(), permuted_sylvester_family]:
         data = json.loads(dumps(family_to_dict(fam)))  # as read from the file
         back = family_from_dict(data)
@@ -519,7 +583,27 @@ def test_well_formed_families_pass_the_vectorised_check(fourier3_families, permu
         assert np.array_equal(back.hadamard.matrix, fam.hadamard.matrix)
         assert np.array_equal(back.raw, fam.raw)
         assert dumps(family_to_dict(back)) == dumps(family_to_dict(fam))
-    assert set(checked) == {"family.v"}  # only the parameter pair goes through the per-pair check
+
+
+def mixed(matrix):
+    return {"kind": "mixed", "matrix": matrix_to_dict(np.array(matrix))}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (mixed([[0.5, 1j], [0, 0.5]]), "density matrix must be Hermitian positive semidefinite"),
+        (mixed([[1.05, 0], [0, -0.05]]), "density matrix must be Hermitian positive semidefinite"),
+        (mixed([[0.5, 0], [0, 0.25]]), "density matrix must be square with unit trace"),
+        ({"kind": "pure", "coords": [[2, 0], [0, 0]]}, "pure state is not normalized"),
+    ],
+    ids=["not-hermitian", "not-psd", "trace", "unnormalized"],
+)
+def test_state_file_takes_the_ensemble_state_rule(data, message):
+    for load in (state_from_dict, lambda s: ensemble_from_dict({"weights": [1.0], "states": [s]})):
+        with pytest.raises(InvalidArgumentError) as raised:
+            load(data)
+        assert str(raised.value) == message
 
 
 def test_state_and_ensemble_roundtrip(rng):
