@@ -44,12 +44,9 @@ from .infotheory import (
     Ensemble,
     OutcomeDistribution,
     holevo_quantity,
-    ht_minimizer,
-    index_of_coincidence,
     mutual_information,
     outcome_distribution,
     outcome_matrix,
-    power_from_min_entropy,
     shannon_entropy,
     sic_min_entropy_bound,
     sic_power_bound,
@@ -69,7 +66,6 @@ from .optimize import (
 from .sic import (
     ADMISSIBLE_V,
     SicFamily,
-    all_overlap_tables,
     conjugate_set,
     hadamard_sic_family,
     hoggar_family,

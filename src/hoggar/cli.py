@@ -9,8 +9,9 @@ step a fixed tolerance, or ``TOL`` for the value of ``--tol``.  One runner
 builds or loads the family, runs the steps in order and writes
 ``<command>_manifest.json`` listing every check (name / pass / value /
 expected / tolerance) and the artifact files produced.  Exit codes: 0 all
-checks pass, 1 some check failed, 2 usage or I/O error.  All numeric
-manifest fields are in nats; ``--bits`` converts displayed values only.
+checks pass, 1 some check failed or none ran, 2 usage or I/O error.  All
+numeric manifest fields are in nats; ``--bits`` converts displayed values
+only.
 """
 
 from __future__ import annotations
@@ -309,7 +310,7 @@ def _search_result_dict(result):
 
 def _min_entropy(run, tol):
     fam = run.fam
-    result = run.entropy = min_entropy_search(fam, run.config())
+    result = run.entropy = min_entropy_search(run.measurement, run.config())
     recheck = shannon_entropy(outcome_distribution(result.best_state, run.measurement))
     checks = [
         Check("min_entropy_converged", result.converged, result.best_value),
@@ -323,7 +324,7 @@ def _min_entropy(run, tol):
 
 def _capacity(run, tol):
     fam = run.fam
-    result = capacity_search(fam, run.config(), entropy=run.entropy)
+    result = capacity_search(run.measurement, run.config(), entropy=run.entropy)
     checks = [
         Check("capacity_converged", result.converged, result.best_value),
         Check(
@@ -518,7 +519,7 @@ def _flag(*names, **options):
 
 
 COMMON = (
-    _flag("--d", type=int, help="dimension for in-place construction"),
+    _flag("--d", type=_int_at_least(2), help="dimension for in-place construction"),
     _flag("--v", default="-1+2i", help="complex parameter, e.g. -1+2i or (1+sqrt3)(1+i)/2"),
     _flag("--hadamard", default="auto", help="sylvester | fourier | auto | path to a Hadamard JSON file"),
     _flag("--out-dir", help="directory for artifacts (default . or $HOGGAR_OUT_DIR)"),
@@ -646,7 +647,8 @@ def _execute(args):
             detail += unit
         print(f"{'PASS' if c['pass'] else 'FAIL'} {c['name']}{detail}")
     print(f"manifest: {out}")
-    return 0 if all(c["pass"] for c in records) else 1
+    # a manifest that checked nothing is no pass
+    return 0 if records and all(c["pass"] for c in records) else 1
 
 
 def run(argv=None):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidPovmError, UnsupportedError
+from .errors import InvalidArgumentError, InvalidPovmError
 from .sic import SicFamily
 
 NEGATIVE_CLAMP = 1e-14
@@ -64,53 +64,39 @@ def shannon_entropy(p):
     return float(eta(p).sum())
 
 
-def index_of_coincidence(p):
-    """Sum of squared outcome probabilities."""
-    if isinstance(p, OutcomeDistribution):
-        p = p.probs
-    p = np.asarray(p, dtype=np.float64)
-    return float((p * p).sum())
-
-
-def as_effects(povm):
-    """Coerce a SicFamily / array / list of matrices to a (k, d, d) stack resolving the identity."""
-    if isinstance(povm, SicFamily):
-        effects = povm.effects
-    else:
-        effects = np.asarray(povm, dtype=np.complex128)
-        if effects.ndim != 3 or effects.shape[1] != effects.shape[2]:
-            raise InvalidArgumentError(f"POVM must be a (k, d, d) stack, got shape {effects.shape}")
-        if not np.isfinite(effects).all():
-            raise InvalidPovmError("effects must be finite")
-    d = effects.shape[1]
-    dev = float(np.abs(effects.sum(axis=0) - np.eye(d)).max())
-    if dev > POVM_IDENTITY_TOL:
-        raise InvalidPovmError(f"effects deviate from the identity by {dev:.3e}")
-    return effects
-
-
 class Measurement:
     """A validated POVM as a weighted rank-one frame.
 
     Effect k is the sum of ``f_r f_r^dagger / scale`` over the rows f_r of
     ``frame`` (R, d) that the 0/1 grouping ``group`` (R, k) assigns to it, so
     every evaluation is the overlap product ``rows.conj() @ frame.T``.  A
-    :class:`~hoggar.sic.SicFamily` is its own d^2 unit vectors with scale d;
-    any other ``(k, d, d)`` stack is checked Hermitian positive semidefinite
-    and factored once by ``eigh`` into rows ``sqrt(lam) v`` (eigenvalues above
-    1e-12 of the largest) with scale 1.  ``group`` is None when every outcome
-    has one row.  ``effects`` is the stack; density matrices are measured on it.
+    :class:`~hoggar.sic.SicFamily`, kept as ``family``, is its own d^2 unit
+    vectors with scale d; any other finite ``(k, d, d)`` stack (``family``
+    None) is checked Hermitian positive semidefinite and factored once by
+    ``eigh`` into rows ``sqrt(lam) v`` (eigenvalues above 1e-12 of the
+    largest) with scale 1.  The effects must sum to the identity.  ``group``
+    is None when every outcome has one row.  ``effects`` is the stack;
+    density matrices are measured on it.
     """
 
     def __init__(self, povm):
-        self.effects = as_effects(povm)
-        self.k, self.d = self.effects.shape[:2]
-        if isinstance(povm, SicFamily):
+        self.family = povm if isinstance(povm, SicFamily) else None
+        effects = np.asarray(povm if self.family is None else povm.effects, dtype=np.complex128)
+        if effects.ndim != 3 or effects.shape[1] != effects.shape[2]:
+            raise InvalidArgumentError(f"POVM must be a (k, d, d) stack, got shape {effects.shape}")
+        if not np.isfinite(effects).all():
+            raise InvalidPovmError("effects must be finite")
+        self.effects = effects
+        self.k, self.d = effects.shape[:2]
+        dev = float(np.abs(effects.sum(axis=0) - np.eye(self.d)).max())
+        if dev > POVM_IDENTITY_TOL:
+            raise InvalidPovmError(f"effects deviate from the identity by {dev:.3e}")
+        if self.family is None:
+            self.frame, self.group = _factor(effects)
+            self.scale = 1.0
+        else:
             # rank one and positive by construction: no factorization to do
             self.frame, self.scale, self.group = povm.states, self.d, None
-        else:
-            self.frame, self.group = _factor(self.effects)
-            self.scale = 1.0
         # the pullback leaves out the 1/scale of the effects
         self.grad_scale = 2.0 / self.scale
 
@@ -128,10 +114,6 @@ class Measurement:
         np.square(p, out=p)
         p /= self.scale
         return self._grouped(p), amps
-
-    def pure(self, psi):
-        """Outcome probabilities of one pure state."""
-        return self._grouped((np.abs(self.frame.conj() @ psi) ** 2) / self.scale)
 
     def pullback(self, coeff, amps):
         """Rows of ``sum_k coeff_bk E_k psi_b``, to be multiplied by ``grad_scale / 2``.
@@ -166,14 +148,14 @@ def _factor(effects):
 def outcome_probabilities(state, povm):
     """Probability vector tr(rho Pi_j) for a pure state or a density matrix.
 
-    ``povm`` is anything :func:`as_effects` accepts, or a :class:`Measurement`.
+    ``povm`` is a :class:`Measurement`, or anything its constructor accepts.
     """
     m = _measurement(povm)
     state = np.asarray(state, dtype=np.complex128)
     if state.ndim == 1:
         if state.shape[0] != m.d:
             raise InvalidArgumentError("state dimension does not match the POVM")
-        probs = m.pure(state)
+        probs = m.probabilities(state[None])[0][0]
     elif state.ndim == 2:
         if state.shape != (m.d, m.d):
             raise InvalidArgumentError("density matrix dimension does not match the POVM")
@@ -191,7 +173,11 @@ def outcome_distribution(state, povm):
 
 def outcome_matrix(states, povm):
     """Rows of outcome probabilities (m, k) of pure states (m, d); ``povm`` as in :func:`outcome_probabilities`."""
-    return _measurement(povm).probabilities(np.asarray(states, dtype=np.complex128))[0]
+    m = _measurement(povm)
+    states = np.asarray(states, dtype=np.complex128)
+    if states.shape[-1:] != (m.d,):
+        raise InvalidArgumentError("state dimension does not match the POVM")
+    return m.probabilities(states)[0]
 
 
 def validated_state(state):
@@ -311,31 +297,3 @@ def sic_power_bound(d):
     if d < 2:
         raise InvalidArgumentError("dimension must be >= 2")
     return math.log(d * d) - sic_min_entropy_bound(d)
-
-
-def power_from_min_entropy(k, min_entropy):
-    """The capacity certificate ln(k) - min_entropy."""
-    if k < 1:
-        raise InvalidArgumentError("outcome count must be >= 1")
-    if min_entropy < 0:
-        raise InvalidArgumentError("entropy cannot be negative")
-    return math.log(k) - min_entropy
-
-
-def ht_minimizer(r, k):
-    """The minimum-entropy distribution with coincidence index r: 1/r entries equal r.
-
-    Only defined when 1/r is an integer (the hypothesis of the minimization
-    theorem this encodes); the distribution has entropy ln(1/r).
-    """
-    if not 0 < r <= 1:
-        raise InvalidArgumentError("coincidence index must lie in (0, 1]")
-    inv = 1.0 / r
-    m = round(inv)
-    if abs(inv - m) > 1e-9:
-        raise UnsupportedError(f"1/r = {float(inv)!r} is not an integer; minimizer form unknown")
-    if m > k:
-        raise InvalidArgumentError(f"need at least {m} outcomes, got {k}")
-    probs = np.zeros(k)
-    probs[:m] = r
-    return OutcomeDistribution(probs)

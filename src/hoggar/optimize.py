@@ -26,7 +26,7 @@ import numpy as np
 from .algebra import _plain
 from .errors import InvalidArgumentError
 from .infotheory import Ensemble, Measurement, _measurement, eta, mutual_information
-from .sic import SicFamily, _projector, _projector_distances
+from .sic import _projector, _projector_distances
 
 GRAD_FLOOR = 1e-14
 ARMIJO_C = 1e-4
@@ -168,15 +168,18 @@ _EntropyObjective = Measurement
 def entropy_gradient(psi, povm):
     """Riemannian gradient of psi -> H(|psi><psi|, povm) at a unit vector.
 
-    ``povm`` is anything :func:`~hoggar.infotheory.as_effects` accepts, or a
-    :class:`~hoggar.infotheory.Measurement`.
+    ``povm`` is a :class:`~hoggar.infotheory.Measurement`, or anything its
+    constructor accepts.
     """
     psi = np.asarray(psi, dtype=np.complex128)
     if not np.isfinite(psi).all():
         raise InvalidArgumentError("state must be finite")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise InvalidArgumentError("state must be a unit vector")
-    _, tangent, _ = _entropy_and_gradient(_measurement(povm), psi[None, :])
+    m = _measurement(povm)
+    if psi.shape != (m.d,):
+        raise InvalidArgumentError("state dimension does not match the POVM")
+    _, tangent, _ = _entropy_and_gradient(m, psi[None, :])
     return tangent[0]
 
 
@@ -277,9 +280,13 @@ def _restart_states(m, cfg, offset):
 
 
 def min_entropy_search(povm, cfg=None):
-    """Multi-restart entropy minimization over pure states for a fixed POVM."""
+    """Multi-restart entropy minimization over pure states for a fixed POVM.
+
+    ``povm`` is a :class:`~hoggar.infotheory.Measurement`, or anything its
+    constructor accepts.
+    """
     cfg = cfg if cfg is not None else OptimizerConfig()
-    m = Measurement(povm)
+    m = _measurement(povm)
     psi, f, iters, conv = batch = _descend(m, _restart_states(m, cfg, 0))
     best = int(np.argmin(f))
     return SearchResult(
@@ -442,7 +449,8 @@ def _reweight(obj, pool):
 def capacity_search(povm, cfg=None, entropy=None):
     """Informational-power search: capacity iteration over a pool of pure states.
 
-    The pool comes from one restart batch of the entropy descent.  For a
+    ``povm`` is as in :func:`min_entropy_search`.  The pool comes from one
+    restart batch of the entropy descent.  For a measurement of a
     :class:`~hoggar.sic.SicFamily` whose Hadamard matrix has a displacement
     group (:attr:`~hoggar.sic.SicFamily.displacements`), it is the orbit of the
     batch's best state under the d^2 displacements; for any other POVM, the batch's
@@ -470,12 +478,12 @@ def capacity_search(povm, cfg=None, entropy=None):
             raise InvalidArgumentError("entropy result was computed for another POVM")
         if entropy.config != cfg:
             raise InvalidArgumentError("entropy result was computed with another OptimizerConfig")
-    obj = Measurement(povm)
+    obj = _measurement(povm)
     d, k = obj.d, obj.k
 
     psi, f, iters, conv = first if first is not None else _descend(obj, _restart_states(obj, cfg, 0))
     best_min = float(f.min())
-    group = povm.displacements if isinstance(povm, SicFamily) else None
+    group = obj.family.displacements if obj.family is not None else None
     if group is not None:
         pool = group.ops @ psi[np.argmin(f)]
     else:

@@ -190,12 +190,6 @@ def _check_twin_pair(fam_v, fam_vbar):
         raise InvalidArgumentError("families are not built over the same Hadamard matrix")
 
 
-def all_overlap_tables(fam_v, fam_vbar):
-    """All d^2 overlap tables as one (d^2, d^2) array, row = target flat index."""
-    _check_twin_pair(fam_v, fam_vbar)
-    return np.abs(fam_vbar.raw.conj() @ fam_v.raw.T) ** 2
-
-
 def _projector(x):
     """Rank-one projector of the normalized ``x``."""
     x = np.asarray(x, dtype=np.complex128)

@@ -199,6 +199,32 @@ def test_exit_codes(tmp_path):
     assert excinfo.value.code == 2
 
 
+def test_manifest_without_checks_fails(tmp_path):
+    from hoggar.cli import _execute
+
+    args = build_parser().parse_args(["verify-sic", "--d", "2", "--out-dir", str(tmp_path)])
+    args.steps = ()
+    assert _execute(args) == 1
+    assert load_json(tmp_path / "verify_sic_manifest.json")["checks"] == []
+
+
+def test_bits_scale_shown_values_only(tmp_path, capsys):
+    argv = ["entropy", "--d", "8", "--twin"]
+    manifests = []
+    for extra in ([], ["--bits"]):
+        out_dir = tmp_path / ("bits" if extra else "nats")
+        capsys.readouterr()
+        assert run(argv + extra + ["--out-dir", str(out_dir)]) == 0
+        manifests.append((out_dir / "entropy_manifest.json").read_bytes())
+    lines = capsys.readouterr().out.splitlines()
+    # the zero count is dimensionless and stays unscaled
+    assert lines[:2] == [
+        "PASS twin_zero_pattern value=28 expected=28",
+        "PASS twin_entropy_min_bound value=5.16992500144 expected=5.16992500144 [bits]",
+    ]
+    assert manifests[0] == manifests[1]
+
+
 def test_optimizer_artifact_bytes_deterministic(tmp_path):
     family = tmp_path / "tetra.json"
     run(["construct", "--d", "2", "--v", "(1+sqrt3)(1+i)/2", "--out", str(family), "--out-dir", str(tmp_path)])
@@ -346,32 +372,44 @@ def test_report_builds_the_twin_and_the_measurement_once(tmp_path, monkeypatch):
             super().__init__(args)
             runs.append(self)
 
-    def recorded(name, fn):
-        def call(*args):
-            povms.setdefault(name, []).append(args[1])
-            return fn(*args)
+    def recorded(name, fn, position):
+        def call(*args, **kwargs):
+            povms.setdefault(name, []).append(args[position])
+            return fn(*args, **kwargs)
 
         return call
+
+    built = []
+    init = Measurement.__init__
+
+    def counted(self, povm):
+        built.append(povm)
+        init(self, povm)
 
     def conjugate_set(fam):
         twins.append(fam)
         return sic.conjugate_set(fam)
 
+    # the POVM is the second argument of an evaluation and the first of a search
     names = (
         "outcome_distribution", "outcome_matrix", "mutual_information", "holevo_quantity", "outcome_probabilities",
         "entropy_gradient",
     )
-    for name in names:
-        monkeypatch.setattr(cli, name, recorded(name, getattr(cli, name)))
+    searches = ("min_entropy_search", "capacity_search")
+    for group, position in ((names, 1), (searches, 0)):
+        for name in group:
+            monkeypatch.setattr(cli, name, recorded(name, getattr(cli, name), position))
     monkeypatch.setattr(cli, "conjugate_set", conjugate_set)
     monkeypatch.setattr(cli, "Run", Recorded)
+    monkeypatch.setattr(Measurement, "__init__", counted)
     argv = ["report", "--d", "2", "--restarts", "8", "--samples", "2000", "--mc-samples", "2000"]
     run(argv + ["--out-dir", str(tmp_path)])
     (context,) = runs
     assert len(twins) == 1
     assert type(context.measurement) is Measurement
-    assert set(povms) == set(names)
+    assert set(povms) == set(names + searches)
     assert all(povm is context.measurement for calls in povms.values() for povm in calls)
+    assert built == [context.fam]
 
 
 def test_sampling_checks_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
@@ -442,6 +480,9 @@ def test_sampling_steps_stream_in_bounded_memory(tmp_path):
         ["min-entropy", "--d", "2", "--seed", "-1"],
         ["report", "--d", "2", "--restarts", "0"],
         ["mutual-info", "--d", "2", "--expected", "nan"],
+        ["verify-sic", "--d", "1"],
+        ["verify-sic", "--d", "0"],
+        ["verify-sic", "--d", "-3"],
     ],
 )
 def test_out_of_range_arguments_rejected_at_parse_time(argv, tmp_path, capsys):

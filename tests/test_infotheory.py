@@ -10,16 +10,12 @@ from hoggar import (
     InvalidPovmError,
     OptimizerConfig,
     OutcomeDistribution,
-    UnsupportedError,
     entropy_gradient,
     holevo_quantity,
-    ht_minimizer,
-    index_of_coincidence,
     min_entropy_search,
     mutual_information,
     outcome_distribution,
     outcome_matrix,
-    power_from_min_entropy,
     random_pure_state,
     shannon_entropy,
     sic_min_entropy_bound,
@@ -27,7 +23,7 @@ from hoggar import (
     twin_ensemble,
     uniform_ensemble,
 )
-from hoggar.infotheory import Measurement, as_effects, eta
+from hoggar.infotheory import Measurement, eta, outcome_probabilities
 from hoggar.optimize import GRAD_FLOOR
 
 
@@ -64,6 +60,12 @@ def test_pure_and_density_paths_agree(hoggar_v, rng):
 def test_dimension_mismatch_and_bad_povm(hoggar_v):
     with pytest.raises(InvalidArgumentError):
         outcome_distribution(np.array([1.0, 0.0]), hoggar_v)
+    # every pure-state entry point refuses a state of the wrong length with one message
+    short = np.ones(3) / math.sqrt(3)
+    for call in (outcome_probabilities, outcome_matrix, entropy_gradient):
+        for povm in (hoggar_v, Measurement(hoggar_v)):
+            with pytest.raises(InvalidArgumentError, match="^state dimension does not match the POVM$"):
+                call(short[None] if call is outcome_matrix else short, povm)
     broken = np.array(hoggar_v.effects)[:50]
     with pytest.raises(InvalidPovmError):
         outcome_distribution(np.eye(8) / 8, broken)
@@ -77,16 +79,6 @@ def test_shannon_entropy_examples():
     point = np.zeros(8)
     point[0] = 1.0
     assert shannon_entropy(point) == 0.0
-
-
-def test_index_of_coincidence(hoggar_v, rng):
-    assert index_of_coincidence(np.full(64, 1 / 64)) == pytest.approx(1 / 64, abs=1e-15)
-    point = np.zeros(4)
-    point[1] = 1.0
-    assert index_of_coincidence(point) == 1.0
-    psi = random_pure_state(8, rng)
-    dist = outcome_distribution(psi, hoggar_v)
-    assert index_of_coincidence(dist) == pytest.approx(1 / 36, abs=1e-12)
 
 
 def test_ic_constant_many_states(hoggar_v, tetra_v, fourier3_families, rng):
@@ -139,27 +131,6 @@ def test_bounds():
     assert sic_power_bound(2) == pytest.approx(math.log(4 / 3), abs=1e-14)
     for d in range(2, 17):
         assert sic_power_bound(d) == math.log(d * d) - sic_min_entropy_bound(d)
-
-
-def test_power_from_min_entropy():
-    assert power_from_min_entropy(64, math.log(36)) == pytest.approx(math.log(16 / 9), abs=1e-14)
-    assert power_from_min_entropy(4, math.log(3)) == pytest.approx(math.log(4 / 3), abs=1e-14)
-    assert power_from_min_entropy(10, math.log(10)) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_ht_minimizer():
-    dist = ht_minimizer(1 / 36, 64)
-    assert (dist.probs[:36] == 1 / 36).all() and (dist.probs[36:] == 0).all()
-    assert shannon_entropy(dist) == pytest.approx(math.log(36), abs=1e-12)
-    assert ht_minimizer(1.0, 5).probs[0] == 1.0
-    d2 = ht_minimizer(1 / 3, 4)
-    assert shannon_entropy(d2) == pytest.approx(math.log(3), abs=1e-12)
-    with pytest.raises(UnsupportedError):
-        ht_minimizer(0.3, 8)
-    with pytest.raises(UnsupportedError, match=r"^1/r = 3\.3333333333333335 is not"):
-        ht_minimizer(np.float64(0.3), 8)
-    with pytest.raises(InvalidArgumentError):
-        ht_minimizer(1 / 36, 8)
 
 
 def test_negative_mutual_information_shows_a_plain_float(hoggar_v, monkeypatch):
@@ -239,12 +210,10 @@ NAN_STACK = [[[np.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]
             lambda: mutual_information(uniform_ensemble([NAN_STATE]), [np.eye(2)]),
             InvalidArgumentError, "states must be finite",
         ),
-        (lambda: as_effects(NAN_STACK), InvalidPovmError, "effects must be finite"),
         (lambda: Measurement(NAN_STACK), InvalidPovmError, "effects must be finite"),
     ],
     ids=[
-        "outcome_distribution", "nan_state_distribution", "ensemble", "mutual_information", "as_effects",
-        "measurement",
+        "outcome_distribution", "nan_state_distribution", "ensemble", "mutual_information", "measurement",
     ],
 )
 def test_non_finite_inputs_are_refused(call, error, message):
@@ -294,7 +263,7 @@ def _check_against_einsum(m, effects, rng):
     p, amps = m.probabilities(rows)
     assert np.abs(p - _einsum_probabilities(effects, rows)).max() < 1e-12
     for psi in rows:
-        assert np.abs(m.pure(psi) - _einsum_probabilities(effects, psi[None])[0]).max() < 1e-12
+        assert np.abs(outcome_probabilities(psi, m) - _einsum_probabilities(effects, psi[None])[0]).max() < 1e-12
     coeff = rng.standard_normal((16, effects.shape[0]))
     pulled = (m.grad_scale / 2) * m.pullback(coeff, amps)
     assert np.abs(pulled - _einsum_pullback(effects, coeff, rows)).max() < 1e-12
@@ -340,6 +309,28 @@ def test_higher_rank_stacks_match_einsum(stack, fourier3_families, rng):
     ambient = 2 * np.einsum("k,kij,j->i", -(np.log(np.maximum(p, GRAD_FLOOR)) + 1.0), effects, psi)
     tangent = ambient - np.vdot(psi, ambient) * psi
     assert np.abs(entropy_gradient(psi, effects) - tangent).max() < 1e-12
+
+
+def _frozen_pure(m, psi):
+    """The one-state evaluator ``Measurement.pure`` as it stood before the pure-state path became a one-row product."""
+    return m._grouped(np.abs(m.frame.conj() @ psi) ** 2 / m.scale)
+
+
+@pytest.mark.parametrize(
+    "povm, stack",
+    [(name, stack) for name in ("hoggar", "tetrahedral", "fourier3") for stack in (False, True)]
+    + [("rank_two", True)],
+)
+def test_pure_state_probabilities_match_the_frozen_evaluator(povm, stack, hoggar_v, tetra_v, fourier3_families):
+    if povm == "rank_two":
+        source = _rank_two_stack()[0]
+    else:
+        source = {"hoggar": hoggar_v, "tetrahedral": tetra_v, "fourier3": fourier3_families[0]}[povm]
+        source = np.array(source.effects) if stack else source
+    m = Measurement(source)
+    assert (m.group is not None) == (povm == "rank_two")
+    for psi in random_pure_state(m.d, np.random.default_rng(33), size=500):
+        assert np.array_equal(outcome_probabilities(psi, m), _frozen_pure(m, psi))
 
 
 NOT_PSD = [np.diag([1.5, 0.5]), np.diag([-0.5, 0.5])]

@@ -508,14 +508,34 @@ def test_capacity_search_reuses_entropy_batch(small_family, seed, restarts):
     cfg = OptimizerConfig(restarts=restarts, seed=seed)
     alone = capacity_search(small_family, cfg)
     shared = capacity_search(small_family, cfg, entropy=min_entropy_search(small_family, cfg))
-    assert shared.best_value == alone.best_value
-    assert shared.iterations_used == alone.iterations_used
-    assert shared.restart_values == alone.restart_values
-    assert shared.certificate_gap == alone.certificate_gap
-    assert shared.capped_solves == alone.capped_solves
-    assert shared.converged == alone.converged
-    assert np.array_equal(shared.best_ensemble.weights, alone.best_ensemble.weights)
-    assert np.array_equal(np.array(shared.best_ensemble.states), np.array(alone.best_ensemble.states))
+    _assert_same_search(shared, alone)
+
+
+def _assert_same_search(a, b):
+    assert a.best_value == b.best_value
+    assert a.iterations_used == b.iterations_used
+    assert a.restart_values == b.restart_values
+    assert a.converged == b.converged
+    assert a.upper_bound == b.upper_bound
+    assert a.certificate_gap == b.certificate_gap
+    assert a.capped_solves == b.capped_solves
+    if a.best_state is not None:
+        assert np.array_equal(a.best_state, b.best_state)
+    if a.best_ensemble is not None:
+        assert np.array_equal(a.best_ensemble.weights, b.best_ensemble.weights)
+        assert np.array_equal(np.array(a.best_ensemble.states), np.array(b.best_ensemble.states))
+
+
+@pytest.mark.parametrize("reuse", [False, True], ids=["alone", "entropy"])
+def test_searches_take_a_measurement_of_the_family(small_family, reuse):
+    cfg = OptimizerConfig(restarts=16, seed=1)
+    m = Measurement(small_family)
+    results = []
+    for povm in (small_family, m):
+        entropy = min_entropy_search(povm, cfg)
+        results.append((entropy, capacity_search(povm, cfg, entropy=entropy if reuse else None)))
+    for family_result, measurement_result in zip(*results):
+        _assert_same_search(family_result, measurement_result)
 
 
 def test_capacity_search_with_entropy_descends_once_less(tetra_v, monkeypatch):

@@ -8,7 +8,6 @@ from hoggar import (
     InvalidArgumentError,
     OptimizerConfig,
     UnsupportedError,
-    all_overlap_tables,
     capacity_search,
     conjugate_set,
     fourier_matrix,
@@ -94,9 +93,13 @@ def test_verify_sic_rejects_v2():
     assert report.max_deviation > 0.01
 
 
+def overlap_tables(fam, twin):
+    """All d^2 overlap tables as one (d^2, d^2) array: row m*d+n holds |inner(H_jk(v), H_mn(vbar))|^2 at column j*d+k."""
+    return np.abs(twin.raw.conj() @ fam.raw.T) ** 2
+
+
 def test_overlap_table_two_valued(hoggar_v, hoggar_vbar):
-    # row m*8+n holds |inner(H_jk(v), H_mn(vbar))|^2 at column j*8+k
-    tables = all_overlap_tables(hoggar_v, hoggar_vbar)
+    tables = overlap_tables(hoggar_v, hoggar_vbar)
     assert tables.shape == (64, 64)
     for row in tables:
         zeros = row < 1e-10
@@ -107,12 +110,12 @@ def test_overlap_table_two_valued(hoggar_v, hoggar_vbar):
 
 def test_overlap_self_case(hoggar_v, hoggar_vbar):
     # j=m, k=n case: |d + v^2 - 1|^2 with v^2 = -3-4i gives |4-4i|^2 = 32
-    tables = all_overlap_tables(hoggar_v, hoggar_vbar)
+    tables = overlap_tables(hoggar_v, hoggar_vbar)
     assert tables[3 * 8 + 5, 3 * 8 + 5] == pytest.approx(32.0, abs=1e-10)
 
 
 def test_overlap_table_d2(tetra_v, tetra_vbar):
-    for row in all_overlap_tables(tetra_v, tetra_vbar):
+    for row in overlap_tables(tetra_v, tetra_vbar):
         assert (row < 1e-10).sum() == 1
         nonzero = np.sort(row)[1:]
         assert np.abs(nonzero - nonzero[0]).max() < 1e-12
@@ -131,10 +134,11 @@ def test_parameter_magnitude_range():
 
 
 def test_overlap_table_rejects_mismatch(hoggar_v, tetra_vbar):
-    with pytest.raises(InvalidArgumentError):
-        all_overlap_tables(hoggar_v, tetra_vbar)
-    with pytest.raises(InvalidArgumentError):
-        all_overlap_tables(hoggar_v, hoggar_v)
+    # the zero blocks read the twin overlap tables only of a true twin pair
+    with pytest.raises(InvalidArgumentError, match="differ in dimension"):
+        zero_blocks(hoggar_v, tetra_vbar)
+    with pytest.raises(InvalidArgumentError, match="not complex conjugates"):
+        zero_blocks(hoggar_v, hoggar_v)
 
 
 def test_proof_formula_agreement(hoggar_v, hoggar_vbar):
@@ -154,14 +158,14 @@ def test_proof_formula_agreement(hoggar_v, hoggar_vbar):
 def test_diagonal_equivalence_reduction(rng, hoggar_v, hoggar_vbar):
     # |H_jk(v) . H_mn(vbar)| is unchanged when H = D H3 D' with unimodular diagonals
     h3 = sylvester_hadamard(3)
-    reference = np.abs(all_overlap_tables(hoggar_v, hoggar_vbar))
+    reference = overlap_tables(hoggar_v, hoggar_vbar)
     for _ in range(5):
         left = np.exp(2j * np.pi * rng.random(8))
         right = np.exp(2j * np.pi * rng.random(8))
         scrambled = HadamardMatrix.from_array(left[:, None] * h3.matrix * right[None, :])
         fam = hadamard_sic_family(scrambled, -1 + 2j)
         twin = conjugate_set(fam)
-        scrambled_tables = np.abs(all_overlap_tables(fam, twin))
+        scrambled_tables = overlap_tables(fam, twin)
         assert np.abs(np.sqrt(scrambled_tables) - np.sqrt(reference)).max() < 1e-10
 
 
